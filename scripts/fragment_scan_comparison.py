@@ -26,11 +26,10 @@ def scan_state(rho, system="S"):
     for size in range(1, len(subenvs) + 1):
         chis, discords, mis = [], [], []
         for frag in itertools.combinations(subenvs, size):
-            chi = qd.holevo_quantity(rho, system, list(frag)).value
-            mi = qd.mutual_information(rho, [system], list(frag))
-            chis.append(chi)
-            discords.append(mi - chi)
-            mis.append(mi)
+            ens = qd.pointer_ensemble(rho, system, frag)
+            chis.append(ens.holevo)
+            discords.append(ens.discord)
+            mis.append(ens.mutual_information)
         rows.append((size / len(subenvs), np.mean(chis), np.mean(discords),
                      np.mean(mis)))
     return rows

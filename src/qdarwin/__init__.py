@@ -2,9 +2,7 @@
 
 from .core import (
     DEFAULT_TOL,
-    ConditionalEnsemble,
     DensityMatrix,
-    Outcome,
     ProjectiveMeasurement,
     PureState,
     SubsystemLayout,
@@ -12,7 +10,6 @@ from .core import (
     dephase_subsystem,
     eig_hermitian,
     load_state,
-    measure_subsystem,
     partial_trace,
     save_state,
     tensor,
@@ -22,7 +19,9 @@ from .core import (
 from .measures import (
     AccessibleInfoBounds,
     MeasureValue,
+    PointerEnsemble,
     accessible_information_bounds,
+    branch_decomposition,
     conditional_mutual_information,
     discord,
     entropy_bits,
@@ -30,6 +29,7 @@ from .measures import (
     holevo_quantity,
     mutual_information,
     pointer_basis,
+    pointer_ensemble,
     trace_distance,
     von_neumann_entropy,
 )

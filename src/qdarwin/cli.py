@@ -15,14 +15,9 @@ import sys
 import numpy as np
 
 from . import zoo
-from .core import SubsystemLayout, load_state, save_state
+from .core import DensityMatrix, SubsystemLayout, load_state, save_state
 from .errors import OptimizerDidNotConverge, QDarwinError
-from .core import partial_trace
-from .measures import (
-    holevo_quantity,
-    mutual_information,
-    von_neumann_entropy,
-)
+from .measures import pointer_ensemble
 from .objectivity import (
     DEFAULT_VERDICT_TOL,
     analyze,
@@ -50,8 +45,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     parser.add_argument("--tol-opt", type=float, default=1e-6,
                         help="tolerance for optimized quantities, bits")
-    parser.add_argument("--tol-num", type=float, default=1e-9,
-                        help="tolerance for closed-form quantities, bits")
     parser.add_argument("--restarts", type=int, default=DEFAULT_OPT.restarts,
                         help="optimizer restarts for non-qubit subsystems")
     parser.add_argument("--grid", default=None, metavar="TxP",
@@ -164,15 +157,20 @@ def cmd_make(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
+def _load(args) -> tuple[DensityMatrix, str]:
+    """The state file a subcommand reads and its system label."""
     try:
         rho = load_state(args.state)
-    except (QDarwinError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"invalid state file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, QDarwinError, ValueError) as exc:
+        raise UsageError(f"invalid state file: {exc}") from None
     system = args.system or rho.layout.system
     if system is None:
         raise UsageError("state has no system factor; pass --system")
+    return rho, system
+
+
+def cmd_analyze(args) -> int:
+    rho, system = _load(args)
     fragment = _parse_labels(args.fragment)
     subfragments = [_parse_labels(s) for s in (args.subfragment or [])]
     opt = _optimizer_config(args)
@@ -203,14 +201,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    try:
-        rho = load_state(args.state)
-    except (QDarwinError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"invalid state file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    system = args.system or rho.layout.system
-    if system is None:
-        raise UsageError("state has no system factor; pass --system")
+    rho, system = _load(args)
     if not 0.0 < args.delta < 1.0:
         raise UsageError(f"--delta must lie strictly inside (0, 1), got {args.delta}")
     seed = _require_seed(args)
@@ -266,27 +257,25 @@ def cmd_verify_theorem(args) -> int:
 def cmd_appendix_c(args) -> int:
     if args.grid_points < 3:
         raise UsageError(f"--grid-points must be >= 3, got {args.grid_points}")
-    opt = _optimizer_config(args)
+    _optimizer_config(args)  # rejects a malformed --grid
     ps = np.linspace(0.01, 0.99, args.grid_points)
-    lines = ["p,H_S,I,chi_optimized,chi_closed_form,discord,m_sqd"]
+    lines = ["p,H_S,I,chi_bits,chi_closed_form,discord,m_sqd"]
     worst_chi = (0.0, None)
     worst_mi = (0.0, None)
     for p in ps:
         rho = zoo.make_horodecki(float(p))
-        h_s = von_neumann_entropy(partial_trace(rho, ["S"]))
-        mi = mutual_information(rho, ["S"], ["E1"])
-        chi = holevo_quantity(rho, "S", ["E1"], opt).value
+        ens = pointer_ensemble(rho, "S", ["E1"])
+        h_s, mi, chi = ens.h_s, ens.mutual_information, ens.holevo
         closed = zoo.horodecki_holevo_closed_form(float(p))
-        d = mi - chi
-        m = objectivity_deficit(rho, "S", ["E1"], opt)
-        lines.append(",".join(_fmt(x) for x in (p, h_s, mi, chi, closed, d, m)))
+        m = objectivity_deficit(rho, "S", ["E1"])
+        lines.append(",".join(_fmt(x) for x in (p, h_s, mi, chi, closed, ens.discord, m)))
         if abs(chi - closed) > worst_chi[0]:
             worst_chi = (abs(chi - closed), float(p))
         if abs(mi - h_s) > worst_mi[0]:
             worst_mi = (abs(mi - h_s), float(p))
     _write_text(args.out_csv or args.out, "\n".join(lines) + "\n")
     ok = worst_chi[0] <= args.tol_opt and worst_mi[0] <= args.tol_num
-    print(f"max |chi_optimized - chi_closed_form| = {worst_chi[0]:.3e} at p={worst_chi[1]}; "
+    print(f"max |chi_bits - chi_closed_form| = {worst_chi[0]:.3e} at p={worst_chi[1]}; "
           f"max |I - H_S| = {worst_mi[0]:.3e} at p={worst_mi[1]}", file=sys.stderr)
     if not ok:
         print("regression failed", file=sys.stderr)
@@ -356,6 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "counterexample family")
     p_app.add_argument("--grid-points", type=int, default=99)
     p_app.add_argument("--out-csv", default=None, help="CSV output path")
+    p_app.add_argument("--tol-num", type=float, default=1e-9,
+                       help="tolerance for closed-form quantities, bits")
     _common_flags(p_app)
     p_app.set_defaults(func=cmd_appendix_c)
     return parser

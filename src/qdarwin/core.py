@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class Tolerances:
     trace: float = 1e-9
     orth: float = 1e-9
     psd: float = 1e-9
-    eig: float = 1e-10
     prob: float = 1e-12
 
 
@@ -125,8 +124,12 @@ class SubsystemLayout:
     def from_dict(cls, entries: Sequence[dict]) -> "SubsystemLayout":
         labels, dims, system = [], [], None
         for e in entries:
-            labels.append(str(e["label"]))
-            dims.append(int(e["dim"]))
+            try:
+                labels.append(str(e["label"]))
+                dims.append(int(e["dim"]))
+            except (KeyError, TypeError, ValueError):
+                raise InvalidLayout(
+                    f"layout entry {e!r} needs a label and an integer dim") from None
             if e.get("role", ENVIRONMENT) == SYSTEM:
                 if system is not None:
                     raise InvalidLayout("more than one factor marked as system")
@@ -233,12 +236,17 @@ def eig_hermitian(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL
         if stop - start > 1:
             v[:, start:stop] = _canonical_subspace_basis(v[:, start:stop])
         start = stop
-    for k in range(n):
-        col = v[:, k]
+    return w, canonical_phases(v)
+
+
+def canonical_phases(vecs: np.ndarray) -> np.ndarray:
+    """Scale each column, in place, so its largest-magnitude component is real
+    and positive; returns ``vecs``."""
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
         pivot = int(np.argmax(np.abs(col)))
-        phase = col[pivot] / abs(col[pivot])
-        v[:, k] = col / phase
-    return w, v
+        vecs[:, k] = col / (col[pivot] / abs(col[pivot]))
+    return vecs
 
 
 def _canonical_subspace_basis(vecs: np.ndarray) -> np.ndarray:
@@ -343,72 +351,26 @@ class ProjectiveMeasurement:
         }
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """One measurement branch; ``state`` is None for (near-)zero probability."""
+def factor_first(rho: DensityMatrix, label: str
+                 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """View rho as a (d, d_rest, d, d_rest) array with factor ``label`` first.
 
-    index: int
-    probability: float
-    state: DensityMatrix | None
-
-
-@dataclass(frozen=True)
-class ConditionalEnsemble:
-    """Post-measurement branches of one subsystem measurement."""
-
-    outcomes: tuple[Outcome, ...]
-    measurement: ProjectiveMeasurement
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([o.probability for o in self.outcomes])
-
-
-def _moved_tensor(rho: DensityMatrix, front: str) -> tuple[np.ndarray, int, int]:
-    """Return rho as a (d_front, d_rest, d_front, d_rest) array with ``front`` first."""
-    labels = rho.layout.labels
-    n = len(labels)
-    idx = rho.layout.index_of(front)
+    Also returns the map that takes an array of that shape back to a matrix in
+    the layout's own factor order.
+    """
+    n = len(rho.layout.labels)
+    idx = rho.layout.index_of(label)
     order = [idx] + [i for i in range(n) if i != idx]
     perm = order + [i + n for i in order]
-    t = rho.tensor_view().transpose(perm)
-    d_f = rho.layout.dims[idx]
-    d_r = rho.dim // d_f
-    return t.reshape(d_f, d_r, d_f, d_r), d_f, d_r
+    moved = tuple(rho.layout.dims[i] for i in order)
+    d = moved[0]
+    inverse = np.argsort(perm)
 
+    def restore(t: np.ndarray) -> np.ndarray:
+        return t.reshape(moved + moved).transpose(inverse).reshape(rho.dim, rho.dim)
 
-def _rest_layout(layout: SubsystemLayout, removed: str) -> SubsystemLayout | None:
-    rest = [l for l in layout.labels if l != removed]
-    if not rest:
-        return None
-    return layout.subset(rest)
-
-
-def measure_subsystem(rho: DensityMatrix, meas: ProjectiveMeasurement,
-                      tol: Tolerances = DEFAULT_TOL) -> ConditionalEnsemble:
-    """Measure one subsystem; returns outcome probabilities and conditional states.
-
-    Conditional states live on the remaining factors in their original order.
-    Outcomes with probability below ``tol.prob`` carry ``state=None``.
-    """
-    d_meas = rho.layout.dim_of(meas.subsystem)
-    if meas.basis.shape[0] != d_meas:
-        raise DimensionMismatch(
-            f"measurement dimension {meas.basis.shape[0]} != factor dimension {d_meas}")
-    t, d_f, d_r = _moved_tensor(rho, meas.subsystem)
-    rest = _rest_layout(rho.layout, meas.subsystem)
-    outcomes = []
-    for a in range(meas.outcomes):
-        ket = meas.basis[:, a]
-        block = np.einsum("i,ijkl,k->jl", ket.conj(), t, ket)
-        p = float(block.trace().real)
-        p = max(p, 0.0)
-        if p > tol.prob and rest is not None:
-            state = DensityMatrix(_freeze(block / p), rest)
-        else:
-            state = None
-        outcomes.append(Outcome(a, p, state))
-    return ConditionalEnsemble(tuple(outcomes), meas)
+    t = rho.tensor_view().transpose(perm).reshape(d, rho.dim // d, d, rho.dim // d)
+    return t, restore
 
 
 def dephase_subsystem(rho: DensityMatrix, meas: ProjectiveMeasurement) -> DensityMatrix:
@@ -417,23 +379,13 @@ def dephase_subsystem(rho: DensityMatrix, meas: ProjectiveMeasurement) -> Densit
     if meas.basis.shape[0] != d_meas:
         raise DimensionMismatch(
             f"measurement dimension {meas.basis.shape[0]} != factor dimension {d_meas}")
-    t, d_f, d_r = _moved_tensor(rho, meas.subsystem)
+    t, restore = factor_first(rho, meas.subsystem)
     out = np.zeros_like(t)
     for a in range(meas.outcomes):
         ket = meas.basis[:, a]
         block = np.einsum("i,ijkl,k->jl", ket.conj(), t, ket)
         out += np.einsum("i,jl,k->ijkl", ket, block, ket.conj())
-    # undo the axis permutation
-    labels = rho.layout.labels
-    n = len(labels)
-    idx = rho.layout.index_of(meas.subsystem)
-    order = [idx] + [i for i in range(n) if i != idx]
-    inv = np.argsort(order)
-    perm = list(inv) + [i + n for i in inv]
-    dims = [rho.layout.dims[i] for i in order]
-    full = out.reshape(*dims, *dims).transpose(perm)
-    d = rho.dim
-    return DensityMatrix(_freeze(full.reshape(d, d)), rho.layout)
+    return DensityMatrix(_freeze(restore(out)), rho.layout)
 
 
 def save_state(rho: DensityMatrix, path_or_file: str | IO[str]) -> None:
@@ -453,7 +405,14 @@ def load_state(path_or_file: str | IO[str], tol: Tolerances = DEFAULT_TOL) -> De
     else:
         with open(path_or_file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("layout"), list):
+        raise InvalidLayout("a state file holds an object with a 'layout' list")
     layout = SubsystemLayout.from_dict(payload["layout"])
-    rows = payload["matrix"]
-    m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    return validate_density_matrix(m, layout, tol)
+    try:
+        parts = np.array(payload.get("matrix"))
+    except ValueError:  # ragged nesting
+        parts = None
+    if (parts is None or parts.dtype.kind not in "iuf" or parts.ndim != 3
+            or parts.shape[0] != parts.shape[1] or parts.shape[2] != 2):
+        raise DimensionMismatch("'matrix' must be a d x d array of [re, im] number pairs")
+    return validate_density_matrix(parts[..., 0] + 1j * parts[..., 1], layout, tol)

@@ -1,13 +1,21 @@
 """Entropic and geometric measures on system-fragment states, all in bits.
 
-The pointer basis used by the Holevo quantity, discord, and the accessible
-information is the canonical eigenbasis of the reduced system state, computed
-with the deterministic eigendecomposition of :mod:`qdarwin.core`.  Worked
-families whose preferred basis is selected by decoherence are diagonal in it,
-and the closed-form regressions of the two-qubit counterexample family pin
-this choice (a global search over measurement bases would strictly exceed
-those reference values; see the accessible-information lower bound for where
-genuine measurement optimization does happen).
+Strong Darwinism and broadcast structure are statements about one object, the
+pointer ensemble {p_i, rho_F|i} of a system S and a fragment F.
+:func:`pointer_ensemble` builds it from a single (S, F) reduction; I(S:F),
+the Holevo quantity chi, the discord and the accessible-information bracket
+are read from the :class:`PointerEnsemble`.  Two rules choose its basis:
+
+* chi, I, discord, the deficit ``M``, the distance bound ``eta`` and the
+  redundancy use the canonical eigenbasis of rho_S (``basis=None``);
+* the broadcast detector, only when rho_S is degenerate, passes a basis
+  refined against fragment probe operators on the same reduction.
+
+The rules differ where rho_S is degenerate: for the two-qubit counterexample
+family at p = 0.5, a point of the closed-form regression grid, the refined
+basis gives chi = 1 bit where the canonical basis and the closed form give 0.
+Measurement optimization happens on the fragment side, in the
+accessible-information lower bound.
 """
 
 from __future__ import annotations
@@ -23,22 +31,27 @@ from .core import (
     ProjectiveMeasurement,
     Tolerances,
     eig_hermitian,
+    factor_first,
     partial_trace,
 )
 from .errors import DimensionMismatch, OverlappingParts
-from .optimize import DEFAULT_OPT, EPS_NUM, OptimizerConfig, maximize_over_bases
+from .optimize import (
+    DEFAULT_OPT,
+    EPS_NUM,
+    EPS_OPT,
+    OptimizerConfig,
+    maximize_over_bases,
+)
 
 TAU_COMM = 1e-9
 
 
 @dataclass(frozen=True)
 class MeasureValue:
-    """Scalar measure in bits plus the basis and search diagnostics behind it."""
+    """Scalar measure in bits plus the pointer basis it was evaluated at."""
 
     value: float
     basis: ProjectiveMeasurement | None
-    restarts: int = 0
-    gap: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -62,8 +75,7 @@ def entropy_bits(probs: Iterable[float]) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def von_neumann_entropy(rho: DensityMatrix | np.ndarray,
-                        tol: Tolerances = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """Entropy -tr(rho log2 rho); eigenvalues within the PSD band clamp to [0, 1]."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     return entropy_bits(np.clip(np.linalg.eigvalsh(m), 0.0, 1.0))
@@ -144,45 +156,24 @@ def fidelity(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> fl
 def pointer_basis(rho: DensityMatrix, system: str,
                   tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
     """Canonical eigenbasis of the reduced system state."""
-    rho_s = partial_trace(rho, [system])
-    _, vecs = eig_hermitian(rho_s.matrix, tol)
+    _, vecs = eig_hermitian(partial_trace(rho, [system]).matrix, tol)
     return ProjectiveMeasurement(system, vecs)
-
-
-def pointer_gap(rho: DensityMatrix, system: str) -> float:
-    """Smallest eigenvalue gap of the reduced system state (0 if one-dimensional)."""
-    rho_s = partial_trace(rho, [system])
-    w = np.sort(np.linalg.eigvalsh(rho_s.matrix))
-    if w.size < 2:
-        return float("inf")
-    return float(np.min(np.diff(w)))
-
-
-def _bipartite_tensor(rho: DensityMatrix, system: str) -> tuple[np.ndarray, int, int]:
-    labels = rho.layout.labels
-    n = len(labels)
-    idx = rho.layout.index_of(system)
-    order = [idx] + [i for i in range(n) if i != idx]
-    perm = order + [i + n for i in order]
-    t = rho.tensor_view().transpose(perm)
-    d_s = rho.layout.dims[idx]
-    return t.reshape(d_s, rho.dim // d_s, d_s, rho.dim // d_s), d_s, rho.dim // d_s
-
-
-def _reduce_to(rho: DensityMatrix, system: str, fragment: Sequence[str]) -> DensityMatrix:
-    frag = rho.layout.require(fragment)
-    if system in frag:
-        raise OverlappingParts(f"fragment contains the system label {system!r}")
-    wanted = rho.layout.require([system, *frag])
-    return partial_trace(rho, wanted)
 
 
 def branch_decomposition(rho: DensityMatrix, system: str,
                          basis: ProjectiveMeasurement,
                          tol: Tolerances = DEFAULT_TOL
                          ) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """Outcome probabilities and normalized fragment conditionals for a system basis."""
-    t, d_s, d_r = _bipartite_tensor(rho, system)
+    """Probabilities of measuring ``system`` in ``basis``, and the normalized
+    conditional states of the remaining factors in layout order.
+
+    Outcomes with probability below ``tol.prob`` have conditional None.
+    """
+    d_s = rho.layout.dim_of(system)
+    if basis.basis.shape[0] != d_s:
+        raise DimensionMismatch(
+            f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
+    t, _ = factor_first(rho, system)
     kets = basis.basis
     probs = np.empty(kets.shape[1])
     conds: list[np.ndarray | None] = []
@@ -195,38 +186,133 @@ def branch_decomposition(rho: DensityMatrix, system: str,
     return probs, conds
 
 
+@dataclass(frozen=True)
+class PointerEnsemble:
+    """Pointer ensemble {p_i, rho_F|i} of one (system, fragment) reduction.
+
+    ``eigenvalues`` are those of rho_S in descending order; ``conditionals[i]``
+    is None for a branch with probability below ``Tolerances.prob``.
+    Entropies are in bits; ``h_f_given_s`` is sum_i p_i H(rho_F|i).
+    """
+
+    system: str
+    fragment: tuple[str, ...]
+    joint: DensityMatrix
+    rho_s: np.ndarray
+    eigenvalues: np.ndarray
+    basis: ProjectiveMeasurement
+    probabilities: np.ndarray
+    conditionals: tuple[np.ndarray | None, ...]
+    rho_f: np.ndarray
+    h_s: float
+    h_f: float
+    h_sf: float
+    h_f_given_s: float
+
+    @property
+    def mutual_information(self) -> float:
+        """I(S:F) = H(S) + H(F) - H(SF)."""
+        return self.h_s + self.h_f - self.h_sf
+
+    @property
+    def holevo(self) -> float:
+        """chi = H(F) - sum_i p_i H(rho_F|i); rounding negatives clamp to 0."""
+        value = self.h_f - self.h_f_given_s
+        return 0.0 if -EPS_NUM <= value < 0.0 else value
+
+    @property
+    def discord(self) -> float:
+        """I(S:F) - chi at this basis, unclamped."""
+        return self.mutual_information - self.holevo
+
+    @property
+    def gap(self) -> float:
+        """Smallest gap between eigenvalues of rho_S (inf for a single one)."""
+        w = self.eigenvalues
+        return float(np.min(w[:-1] - w[1:])) if w.size > 1 else float("inf")
+
+    def live(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Probabilities and conditionals of the branches that occur."""
+        kept = [(p, c) for p, c in zip(self.probabilities, self.conditionals)
+                if c is not None]
+        return np.array([p for p, _ in kept]), [c for _, c in kept]
+
+    def accessible_information(self, opt: OptimizerConfig,
+                               optimize_lower: bool) -> AccessibleInfoBounds:
+        """Bracket the accessible information of this ensemble.
+
+        Upper bound is the Holevo quantity.  When the conditional states
+        commute pairwise (Frobenius norm below ``TAU_COMM``) the
+        common-eigenbasis measurement achieves it and the bracket is exact.
+        Otherwise the lower bound is the best classical mutual information over
+        projective fragment measurements (the eigenbasis of rho_F when
+        ``optimize_lower`` is off, e.g. inside large batch runs).
+        """
+        chi = self.holevo
+        ps, cs = self.live()
+        if not cs:
+            return AccessibleInfoBounds(0.0, chi, True, False)
+        commuting = all(
+            float(np.linalg.norm(ci @ cj - cj @ ci)) < TAU_COMM
+            for i, ci in enumerate(cs) for cj in cs[i + 1:])
+        if commuting:
+            lower = classical_mutual_information(ps, cs, common_eigenbasis(cs))
+            return AccessibleInfoBounds(lower, chi, True, False)
+        if not optimize_lower:
+            _, vecs = eig_hermitian(self.rho_f)
+            lower = classical_mutual_information(ps, cs, vecs)
+            return AccessibleInfoBounds(lower, chi, False, False)
+        stack = np.stack(cs)
+        result = maximize_over_bases(
+            lambda basis: classical_mutual_information(ps, cs, basis),
+            cs[0].shape[0], opt,
+            batch_objective=lambda bases: _classical_mi_batch(ps, stack, bases))
+        lower = min(result.value, chi + opt.eps_opt)
+        return AccessibleInfoBounds(lower, chi, False, True, result.restarts, result.gap)
+
+
+def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
+                     basis: ProjectiveMeasurement | None = None,
+                     tol: Tolerances = DEFAULT_TOL) -> PointerEnsemble:
+    """Reduce rho to (system, fragment) once and split it into pointer branches.
+
+    ``basis`` defaults to the canonical eigenbasis of rho_S; the broadcast
+    detector passes its refined basis when rho_S is degenerate.
+    """
+    frag = rho.layout.require(fragment)
+    if system in frag:
+        raise OverlappingParts(f"fragment contains the system label {system!r}")
+    joint = partial_trace(rho, (system, *frag))
+    rho_s = partial_trace(joint, [system]).matrix
+    w, vecs = eig_hermitian(rho_s, tol)
+    if basis is None:
+        basis = ProjectiveMeasurement(system, vecs)
+    probs, conds = branch_decomposition(joint, system, basis, tol)
+    rho_f = partial_trace(joint, frag).matrix
+    h_f_given_s = sum(float(p) * von_neumann_entropy(c)
+                      for p, c in zip(probs, conds) if c is not None)
+    return PointerEnsemble(system, frag, joint, rho_s, w, basis, probs, tuple(conds),
+                           rho_f, von_neumann_entropy(rho_s), von_neumann_entropy(rho_f),
+                           von_neumann_entropy(joint), float(h_f_given_s))
+
+
 def holevo_quantity(rho: DensityMatrix, system: str, fragment: Sequence[str],
-                    opt: OptimizerConfig = DEFAULT_OPT,
                     tol: Tolerances = DEFAULT_TOL) -> MeasureValue:
     """Classical information about the pointer observable carried by the fragment.
 
     Evaluates H(rho_F) - sum_a p_a H(rho_F|a) for the pointer-basis ensemble.
     """
-    joint = _reduce_to(rho, system, fragment)
-    basis = pointer_basis(joint, system, tol)
-    probs, conds = branch_decomposition(joint, system, basis, tol)
-    frag_labels = [l for l in joint.layout.labels if l != system]
-    rho_f = partial_trace(joint, frag_labels)
-    value = von_neumann_entropy(rho_f, tol)
-    for p, cond in zip(probs, conds):
-        if cond is not None:
-            value -= float(p) * von_neumann_entropy(cond, tol)
-    if -EPS_NUM <= value < 0.0:
-        value = 0.0
-    return MeasureValue(float(value), basis)
+    ens = pointer_ensemble(rho, system, fragment, tol=tol)
+    return MeasureValue(ens.holevo, ens.basis)
 
 
 def discord(rho: DensityMatrix, system: str, fragment: Sequence[str],
-            opt: OptimizerConfig = DEFAULT_OPT,
             tol: Tolerances = DEFAULT_TOL) -> MeasureValue:
-    """Quantum correlations I(S:F) - chi at the shared pointer basis."""
-    joint = _reduce_to(rho, system, fragment)
-    frag_labels = [l for l in joint.layout.labels if l != system]
-    chi = holevo_quantity(joint, system, frag_labels, opt, tol)
-    value = mutual_information(joint, [system], frag_labels) - chi.value
-    if abs(value) <= opt.eps_opt and value < 0.0:
-        value = 0.0
-    return MeasureValue(float(value), chi.basis, chi.restarts, chi.gap)
+    """Quantum correlations I(S:F) - chi at the shared pointer basis; negatives
+    within ``EPS_OPT`` clamp to 0."""
+    ens = pointer_ensemble(rho, system, fragment, tol=tol)
+    value = ens.discord
+    return MeasureValue(0.0 if -EPS_OPT <= value < 0.0 else value, ens.basis)
 
 
 def classical_mutual_information(probs: np.ndarray, conds: Sequence[np.ndarray],
@@ -289,41 +375,7 @@ def accessible_information_bounds(rho: DensityMatrix, system: str,
                                   opt: OptimizerConfig = DEFAULT_OPT,
                                   tol: Tolerances = DEFAULT_TOL,
                                   optimize_lower: bool = True) -> AccessibleInfoBounds:
-    """Bracket the accessible information of the pointer-basis fragment ensemble.
-
-    Upper bound is the Holevo quantity.  When the conditional states commute
-    pairwise (Frobenius norm below ``TAU_COMM``) the common-eigenbasis
-    measurement achieves it and the bracket is exact.  Otherwise the lower
-    bound is the best classical mutual information over projective fragment
-    measurements (a fixed eigenbasis measurement when ``optimize_lower`` is
-    off, e.g. inside large batch runs).
-    """
-    joint = _reduce_to(rho, system, fragment)
-    chi = holevo_quantity(joint, system,
-                          [l for l in joint.layout.labels if l != system], opt, tol)
-    probs, conds = branch_decomposition(joint, system, chi.basis, tol)
-    live = [(p, c) for p, c in zip(probs, conds) if c is not None]
-    if not live:
-        return AccessibleInfoBounds(0.0, chi.value, True, False)
-    ps = np.array([p for p, _ in live])
-    cs = [c for _, c in live]
-    commuting = all(
-        float(np.linalg.norm(ci @ cj - cj @ ci)) < TAU_COMM
-        for i, ci in enumerate(cs) for cj in cs[i + 1:])
-    if commuting:
-        basis = common_eigenbasis(cs)
-        lower = classical_mutual_information(ps, cs, basis)
-        return AccessibleInfoBounds(lower, chi.value, True, False)
-    if not optimize_lower:
-        rho_f = sum(p * c for p, c in zip(ps, cs))
-        _, vecs = eig_hermitian(rho_f, tol)
-        lower = classical_mutual_information(ps, cs, vecs)
-        return AccessibleInfoBounds(lower, chi.value, False, False)
-    stack = np.stack(cs)
-    result = maximize_over_bases(
-        lambda basis: classical_mutual_information(ps, cs, basis),
-        cs[0].shape[0], opt,
-        batch_objective=lambda bases: _classical_mi_batch(ps, stack, bases))
-    lower = min(result.value, chi.value + opt.eps_opt)
-    return AccessibleInfoBounds(lower, chi.value, False, True,
-                                result.restarts, result.gap)
+    """Accessible-information bracket of the canonical pointer ensemble; see
+    :meth:`PointerEnsemble.accessible_information`."""
+    return pointer_ensemble(rho, system, fragment, tol=tol).accessible_information(
+        opt, optimize_lower)

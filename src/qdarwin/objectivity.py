@@ -20,8 +20,9 @@ from .core import (
     DensityMatrix,
     ProjectiveMeasurement,
     Tolerances,
+    canonical_phases,
     dephase_subsystem,
-    eig_hermitian,
+    factor_first,
     partial_trace,
 )
 from .errors import (
@@ -32,18 +33,13 @@ from .errors import (
 )
 from .measures import (
     AccessibleInfoBounds,
-    accessible_information_bounds,
-    branch_decomposition,
+    PointerEnsemble,
     common_eigenbasis,
     conditional_mutual_information,
     entropy_bits,
     fidelity,
-    holevo_quantity,
-    mutual_information,
-    pointer_basis,
-    pointer_gap,
+    pointer_ensemble,
     trace_norm,
-    von_neumann_entropy,
 )
 from .optimize import DEFAULT_OPT, OptimizerConfig
 
@@ -117,6 +113,12 @@ class SqdVerdict:
         }
 
 
+def _fragment(rho: DensityMatrix, fragment: Sequence[str] | None) -> tuple[str, ...]:
+    """The fragment in layout order; every environment factor when None."""
+    return rho.layout.require(
+        rho.layout.environment_labels if fragment is None else fragment)
+
+
 def check_strong_darwinism(rho: DensityMatrix, system: str,
                            fragment: Sequence[str] | None = None,
                            subfragments: Sequence[Sequence[str]] | None = None,
@@ -130,37 +132,42 @@ def check_strong_darwinism(rho: DensityMatrix, system: str,
     trivially.  The accessible information is certified exact only when the
     pointer-basis ensemble commutes; otherwise the verdict reports a bracket.
     """
-    fragment = list(fragment) if fragment is not None else list(rho.layout.environment_labels)
-    frag = rho.layout.require(fragment)
+    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), tol=state_tol)
+    return _strong_darwinism(ens, subfragments, opt, tol, state_tol, optimize_acc_lower)
+
+
+def _strong_darwinism(ens: PointerEnsemble,
+                      subfragments: Sequence[Sequence[str]] | None,
+                      opt: OptimizerConfig, tol: VerdictTolerances,
+                      state_tol: Tolerances, optimize_acc_lower: bool) -> SqdVerdict:
     subfragments = [list(s) for s in (subfragments or [])]
     seen: set[str] = set()
     for sf in subfragments:
         s = set(sf)
         if s & seen:
             raise OverlappingSubfragments(f"subfragments overlap on {sorted(s & seen)}")
-        if not s <= set(frag):
+        if not s <= set(ens.fragment):
             raise OverlappingSubfragments(f"subfragment {sf} is not inside the fragment")
         seen |= s
 
-    h_s = von_neumann_entropy(partial_trace(rho, [system]), state_tol)
+    h_s = ens.h_s
     if h_s <= state_tol.prob:
         return SqdVerdict(True, 0.0, 0.0, 0.0, 0.0, (), tol.equality, None, trivial=True)
 
-    mi = mutual_information(rho, [system], frag)
-    chi = holevo_quantity(rho, system, frag, opt, state_tol)
-    acc = accessible_information_bounds(rho, system, frag, opt, state_tol,
-                                        optimize_lower=optimize_acc_lower)
-    holds = (abs(mi - chi.value) <= tol.equality
-             and abs(chi.value - h_s) <= tol.equality)
+    def complete(e: PointerEnsemble) -> bool:
+        return (abs(e.mutual_information - e.holevo) <= tol.equality
+                and abs(e.holevo - h_s) <= tol.equality)
+
+    acc = ens.accessible_information(opt, optimize_acc_lower)
+    holds = complete(ens)
     checks = []
     for sf in subfragments:
-        sf_mi = mutual_information(rho, [system], sf)
-        sf_chi = holevo_quantity(rho, system, sf, opt, state_tol)
-        sf_holds = (abs(sf_mi - sf_chi.value) <= tol.equality
-                    and abs(sf_chi.value - h_s) <= tol.equality)
+        sub = pointer_ensemble(ens.joint, ens.system, sf, tol=state_tol)
+        sf_holds = complete(sub)
         holds = holds and sf_holds
-        checks.append(SubfragmentCheck(tuple(sf), sf_holds, sf_mi, sf_chi.value))
-    return SqdVerdict(holds, mi, chi.value, h_s, mi - chi.value,
+        checks.append(SubfragmentCheck(tuple(sf), sf_holds, sub.mutual_information,
+                                       sub.holevo))
+    return SqdVerdict(holds, ens.mutual_information, ens.holevo, h_s, ens.discord,
                       tuple(checks), tol.equality, acc)
 
 
@@ -206,25 +213,13 @@ class SbsVerdict:
         }
 
 
-def _refined_pointer(rho: DensityMatrix, system: str,
-                     tol: VerdictTolerances,
-                     state_tol: Tolerances) -> tuple[ProjectiveMeasurement, bool]:
-    """Pointer candidate: canonical eigenbasis of rho_S, with degenerate clusters
-    refined by simultaneous diagonalization against fragment-probe operators."""
-    rho_s = partial_trace(rho, [system]).matrix
-    w, vecs = eig_hermitian(rho_s, state_tol)
-    degenerate = len(w) > 1 and float(np.min(w[:-1] - w[1:])) < tol.degeneracy_gap
-    if not degenerate:
-        return ProjectiveMeasurement(system, vecs), False
-    labels = rho.layout.labels
-    n = len(labels)
-    idx = rho.layout.index_of(system)
-    order = [idx] + [i for i in range(n) if i != idx]
-    perm = order + [i + n for i in order]
-    d_s = rho.layout.dims[idx]
-    d_f = rho.dim // d_s
-    t = rho.tensor_view().transpose(perm).reshape(d_s, d_f, d_s, d_f)
-    probes: list[np.ndarray] = [rho_s]
+def _refined_pointer(ens: PointerEnsemble, t: np.ndarray,
+                     tol: VerdictTolerances) -> ProjectiveMeasurement:
+    """Canonical eigenbasis of a degenerate rho_S with its degenerate clusters
+    refined by simultaneous diagonalization against fragment-probe operators;
+    ``t`` is the joint state as a (d_s, d_f, d_s, d_f) array."""
+    d_f = t.shape[1]
+    probes: list[np.ndarray] = [ens.rho_s]
     for m in range(d_f):
         for k in range(m, d_f):
             block = t[:, m, :, k]
@@ -232,13 +227,10 @@ def _refined_pointer(rho: DensityMatrix, system: str,
             if k > m:
                 probes.append(1j * (block - block.conj().T))
     basis = common_eigenbasis(probes, gap=tol.degeneracy_gap)
-    # re-sort columns by descending rho_S expectation, canonical phase
-    expect = np.real(np.einsum("ij,jk,ik->k", rho_s, basis, basis.conj()))
+    # re-sort columns by descending rho_S expectation
+    expect = np.real(np.einsum("ij,jk,ik->k", ens.rho_s, basis, basis.conj()))
     basis = basis[:, np.argsort(-expect, kind="stable")]
-    for k in range(basis.shape[1]):
-        pivot = int(np.argmax(np.abs(basis[:, k])))
-        basis[:, k] /= basis[pivot, k] / abs(basis[pivot, k])
-    return ProjectiveMeasurement(system, basis), True
+    return ProjectiveMeasurement(ens.system, canonical_phases(basis))
 
 
 def detect_broadcast_structure(rho: DensityMatrix, system: str,
@@ -251,24 +243,23 @@ def detect_broadcast_structure(rho: DensityMatrix, system: str,
     Stages: (1) pointer candidate from the system marginal, (2) vanishing
     off-diagonal blocks, (3) vanishing pairwise conditional overlaps, per
     subenvironment and for the whole fragment, (4) product structure across
-    subenvironments via conditional mutual information.  A verdict is always
-    returned; nothing raises on failure.
+    subenvironments, which is the strong-independence check.  A verdict is
+    always returned; nothing raises on failure.
     """
-    fragment = list(fragment) if fragment is not None else list(rho.layout.environment_labels)
-    frag = rho.layout.require(fragment)
-    joint = partial_trace(rho, (system, *frag))
-    pointer, degenerate = _refined_pointer(joint, system, tol, state_tol)
+    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), tol=state_tol)
+    independence = _independence(ens.joint, system, ens.fragment, tol)
+    return _broadcast_structure(ens, independence, tol, state_tol)
 
-    probs, conds = branch_decomposition(joint, system, pointer, state_tol)
-    d_s = pointer.outcomes
-    labels = joint.layout.labels
-    n = len(labels)
-    idx = joint.layout.index_of(system)
-    order = [idx] + [i for i in range(n) if i != idx]
-    perm = order + [i + n for i in order]
-    d_f = joint.dim // d_s
-    t = joint.tensor_view().transpose(perm).reshape(d_s, d_f, d_s, d_f)
-    kets = pointer.basis
+
+def _broadcast_structure(ens: PointerEnsemble, independence: IndependenceVerdict | None,
+                         tol: VerdictTolerances, state_tol: Tolerances) -> SbsVerdict:
+    t, _ = factor_first(ens.joint, ens.system)
+    degenerate = ens.gap < tol.degeneracy_gap
+    if degenerate:
+        ens = pointer_ensemble(ens.joint, ens.system, ens.fragment,
+                               basis=_refined_pointer(ens, t, tol), tol=state_tol)
+    kets = ens.basis.basis
+    d_s = kets.shape[1]
     max_offdiag = 0.0
     for i in range(d_s):
         for j in range(i + 1, d_s):
@@ -276,31 +267,30 @@ def detect_broadcast_structure(rho: DensityMatrix, system: str,
             max_offdiag = max(max_offdiag, float(np.linalg.norm(block)))
     cq_ok = max_offdiag <= tol.offdiag
 
-    live = [(p, c) for p, c in zip(probs, conds) if c is not None]
-    frag_layout = joint.layout.subset(frag, system=None)
+    _, live = ens.live()
+    frag = ens.fragment
+    frag_layout = ens.joint.layout.subset(frag, system=None)
     max_whole = 0.0
     max_sub = 0.0
-    for (pi, ci), (pj, cj) in itertools.combinations(live, 2):
+    for ci, cj in itertools.combinations(live, 2):
         max_whole = max(max_whole, abs(float(np.trace(ci @ cj).real)))
-    for k, lab in enumerate(frag):
+    for lab in frag:
         if len(frag) == 1:
-            subs = [c for _, c in live]
+            subs = live
         else:
             subs = [partial_trace(DensityMatrix(c, frag_layout), [lab]).matrix
-                    for _, c in live]
+                    for c in live]
         for a, b in itertools.combinations(subs, 2):
             max_sub = max(max_sub, abs(float(np.trace(a @ b).real)))
     whole_ok = max_whole <= tol.overlap
     sub_ok = max_sub <= tol.overlap
 
-    max_cmi = 0.0
-    for a, b in itertools.combinations(frag, 2):
-        max_cmi = max(max_cmi, conditional_mutual_information(joint, [a], [b], [system]))
+    max_cmi = 0.0 if independence is None else independence.worst_cmi
     product_ok = max_cmi <= tol.cmi
 
     bipartite = cq_ok and whole_ok
     holds = cq_ok and sub_ok and product_ok
-    return SbsVerdict(holds, pointer, tuple(float(p) for p in probs),
+    return SbsVerdict(holds, ens.basis, tuple(float(p) for p in ens.probabilities),
                       max_offdiag, max_sub, max_whole, max_cmi,
                       bipartite, bipartite and not holds, degenerate,
                       cq_ok, sub_ok, product_ok)
@@ -325,12 +315,19 @@ def check_strong_independence(rho: DensityMatrix, system: str,
                               tol: VerdictTolerances = DEFAULT_VERDICT_TOL
                               ) -> IndependenceVerdict:
     """All pairwise I(E_j:E_k|S) must vanish within tolerance."""
-    subenvs = list(subenvironments) if subenvironments is not None \
-        else list(rho.layout.environment_labels)
-    subenvs = list(rho.layout.require(subenvs))
-    if len(subenvs) < 2:
+    subenvs = _fragment(rho, subenvironments)
+    verdict = _independence(rho, system, subenvs, tol)
+    if verdict is None:
         raise NeedTwoSubenvironments(
-            f"need at least two subenvironments, got {subenvs}")
+            f"need at least two subenvironments, got {list(subenvs)}")
+    return verdict
+
+
+def _independence(rho: DensityMatrix, system: str, subenvs: Sequence[str],
+                  tol: VerdictTolerances) -> IndependenceVerdict | None:
+    """Worst pairwise I(E_j:E_k|S); None for fewer than two subenvironments."""
+    if len(subenvs) < 2:
+        return None
     worst = 0.0
     worst_pair: tuple[str, str] | None = None
     for a, b in itertools.combinations(subenvs, 2):
@@ -377,15 +374,11 @@ def verify_equivalence(rho: DensityMatrix, system: str,
     Verdicts whose deciding diagnostics sit within a factor of the tolerance,
     or whose pointer basis is ambiguous, are flagged borderline.
     """
-    subenvs = list(subenvironments) if subenvironments is not None \
-        else list(rho.layout.environment_labels)
-    subenvs = list(rho.layout.require(subenvs))
-    subfrags = [[l] for l in subenvs] if len(subenvs) > 1 else None
-    sqd = check_strong_darwinism(rho, system, subenvs, subfrags, opt, tol,
-                                 state_tol, optimize_acc_lower=optimize_acc_lower)
-    sbs = detect_broadcast_structure(rho, system, subenvs, tol, state_tol)
-    independence = (check_strong_independence(rho, system, subenvs, tol)
-                    if len(subenvs) > 1 else None)
+    ens = pointer_ensemble(rho, system, _fragment(rho, subenvironments), tol=state_tol)
+    subfrags = [[l] for l in ens.fragment] if len(ens.fragment) > 1 else None
+    sqd = _strong_darwinism(ens, subfrags, opt, tol, state_tol, optimize_acc_lower)
+    independence = _independence(ens.joint, system, ens.fragment, tol)
+    sbs = _broadcast_structure(ens, independence, tol, state_tol)
     si_holds = independence.holds if independence is not None else True
     consistent = sbs.holds == (sqd.holds and si_holds)
 
@@ -402,7 +395,7 @@ def verify_equivalence(rho: DensityMatrix, system: str,
     if independence is not None and _in_borderline_band(independence.worst_cmi,
                                                         tol.cmi, factor):
         reasons.append(f"conditional mutual information {independence.worst_cmi:.3e}")
-    gap = pointer_gap(rho, system)
+    gap = ens.gap
     if gap < tol.degeneracy_gap * factor:
         reasons.append(f"pointer-basis eigenvalue gap {gap:.3e}")
     return TheoremWitness(sqd, sbs, independence, consistent,
@@ -411,43 +404,42 @@ def verify_equivalence(rho: DensityMatrix, system: str,
 
 def objectivity_deficit(rho: DensityMatrix, system: str,
                         fragment: Sequence[str] | None = None,
-                        opt: OptimizerConfig = DEFAULT_OPT,
                         state_tol: Tolerances = DEFAULT_TOL) -> float:
     """Normalized deficit (H(S) - chi + D) / 2H(S), clamped to [0, 1].
 
     Zero exactly on bipartite broadcast-structure states; undefined (raises)
     when the system entropy vanishes.
     """
-    fragment = list(fragment) if fragment is not None else list(rho.layout.environment_labels)
-    h_s = von_neumann_entropy(partial_trace(rho, [system]), state_tol)
+    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), tol=state_tol)
+    return _deficit(ens, state_tol)
+
+
+def _deficit(ens: PointerEnsemble, state_tol: Tolerances) -> float:
+    h_s = ens.h_s
     if h_s <= state_tol.prob:
         raise DegenerateSystemEntropy(
             f"system entropy {h_s:.3e} is too small for a normalized deficit")
-    chi = holevo_quantity(rho, system, fragment, opt, state_tol)
-    d = mutual_information(rho, [system], rho.layout.require(fragment)) - chi.value
-    value = (h_s - chi.value + d) / (2.0 * h_s)
+    value = (h_s - ens.holevo + ens.discord) / (2.0 * h_s)
     return float(min(max(value, 0.0), 1.0))
 
 
 def broadcast_distance_bound(rho: DensityMatrix, system: str,
                              fragment: Sequence[str] | None = None,
                              pointer: ProjectiveMeasurement | None = None,
-                             opt: OptimizerConfig = DEFAULT_OPT,
                              state_tol: Tolerances = DEFAULT_TOL) -> float:
     """Computable bound on the trace distance to the broadcast-structure set:
     the full trace norm of (rho - dephased rho) plus the pairwise-fidelity sum
-    over ordered branch pairs."""
-    fragment = list(fragment) if fragment is not None else list(rho.layout.environment_labels)
-    frag = rho.layout.require(fragment)
-    joint = partial_trace(rho, (system, *frag))
-    if pointer is None:
-        pointer = pointer_basis(joint, system, state_tol)
-    dephased = dephase_subsystem(joint, pointer)
-    term1 = trace_norm(joint.matrix - dephased.matrix)
-    probs, conds = branch_decomposition(joint, system, pointer, state_tol)
-    live = [(p, c) for p, c in zip(probs, conds) if c is not None]
+    over ordered branch pairs, at ``pointer`` (default the canonical basis)."""
+    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), pointer, state_tol)
+    return _distance_bound(ens)
+
+
+def _distance_bound(ens: PointerEnsemble) -> float:
+    dephased = dephase_subsystem(ens.joint, ens.basis)
+    term1 = trace_norm(ens.joint.matrix - dephased.matrix)
+    ps, cs = ens.live()
     term2 = 0.0
-    for (pi, ci), (pj, cj) in itertools.combinations(live, 2):
+    for (pi, ci), (pj, cj) in itertools.combinations(zip(ps, cs), 2):
         term2 += 2.0 * math.sqrt(pi * pj) * fidelity(ci, cj)
     return term1 + term2
 
@@ -558,20 +550,17 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
     if strategy not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    basis = pointer_basis(rho, system, state_tol)
-    rho_s = partial_trace(rho, [system])
-    outcome_probs = np.clip(np.real(np.einsum(
-        "ij,jk,ik->k", rho_s.matrix, basis.basis, basis.basis.conj())), 0.0, None)
-    h_pointer = entropy_bits(outcome_probs)
+    # the pointer distribution depends on rho_S alone; any fragment gives it
+    first = pointer_ensemble(rho, system, subenvs[:1], tol=state_tol)
+    h_pointer = entropy_bits(first.probabilities)
     threshold = (1.0 - delta) * h_pointer - opt.eps_opt
 
-    cache: dict[tuple[str, ...], tuple[float, float]] = {}
+    cache: dict[tuple[str, ...], tuple[float, float, float]] = {}
 
-    def evaluate(frag: tuple[str, ...]) -> tuple[float, float]:
+    def evaluate(frag: tuple[str, ...]) -> tuple[float, float, float]:
         if frag not in cache:
-            chi = holevo_quantity(rho, system, list(frag), opt, state_tol).value
-            mi = mutual_information(rho, [system], list(frag))
-            cache[frag] = (chi, mi)
+            ens = pointer_ensemble(rho, system, frag, tol=state_tol)
+            cache[frag] = (ens.holevo, ens.mutual_information, ens.discord)
         return cache[frag]
 
     def qualifies(frag: tuple[str, ...]) -> bool:
@@ -626,8 +615,7 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
             sample = sorted(chosen)
         chis, discords, mis = [], [], []
         for frag in sample:
-            chi, mi = evaluate(frag)
-            d = mi - chi
+            chi, mi, d = evaluate(frag)
             chis.append(chi)
             discords.append(d)
             mis.append(mi)
@@ -705,17 +693,16 @@ def analyze(rho: DensityMatrix, system: str,
             state_tol: Tolerances = DEFAULT_TOL,
             seed: int | None = None) -> ObjectivityReport:
     """Full objectivity report: all measures, verdicts, and diagnostics."""
-    fragment = list(fragment) if fragment is not None else list(rho.layout.environment_labels)
-    frag = rho.layout.require(fragment)
-    sqd = check_strong_darwinism(rho, system, frag, subfragments, opt, tol, state_tol)
-    sbs = detect_broadcast_structure(rho, system, frag, tol, state_tol)
-    independence = (check_strong_independence(rho, system, frag, tol)
-                    if len(frag) > 1 else None)
+    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), tol=state_tol)
+    sqd = _strong_darwinism(ens, subfragments, opt, tol, state_tol,
+                            optimize_acc_lower=True)
+    independence = _independence(ens.joint, system, ens.fragment, tol)
+    sbs = _broadcast_structure(ens, independence, tol, state_tol)
     try:
-        m_sqd: float | None = objectivity_deficit(rho, system, frag, opt, state_tol)
+        m_sqd: float | None = _deficit(ens, state_tol)
         reason = None
     except DegenerateSystemEntropy as exc:
         m_sqd, reason = None, str(exc)
-    eta = broadcast_distance_bound(rho, system, frag, None, opt, state_tol)
-    return ObjectivityReport(system, frag, sqd, sbs, independence,
+    eta = _distance_bound(ens)
+    return ObjectivityReport(system, ens.fragment, sqd, sbs, independence,
                              m_sqd, reason, eta, sqd.acc, tol, opt, seed)

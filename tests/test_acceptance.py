@@ -29,10 +29,10 @@ class TestAcceptance:
         out = tmp_path / "appendix_c.csv"
         code = cli_main(["appendix-c", "--grid-points", "99", "--out-csv", str(out)])
         rows = list(csv.DictReader(out.read_text().splitlines()))
-        worst_chi = max(abs(float(r["chi_optimized"]) - float(r["chi_closed_form"]))
+        worst_chi = max(abs(float(r["chi_bits"]) - float(r["chi_closed_form"]))
                         for r in rows)
         worst_mi = max(abs(float(r["I"]) - float(r["H_S"])) for r in rows)
-        margin = min(float(r["H_S"]) - float(r["chi_optimized"]) for r in rows)
+        margin = min(float(r["H_S"]) - float(r["chi_bits"]) for r in rows)
         elapsed = time.perf_counter() - t0
         ok = (code == 0 and len(rows) == 99 and worst_chi <= 1e-6
               and worst_mi <= 1e-9 and margin > 1e-3 and elapsed < 10.0)

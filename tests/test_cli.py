@@ -5,11 +5,33 @@ import numpy as np
 import pytest
 
 import qdarwin as qd
+from qdarwin import errors
 from qdarwin.cli import main
 
 
 def run(args):
     return main(args)
+
+
+def _set(payload, path, value):
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return payload
+
+
+# state-file payloads that are valid JSON but not the state format
+MALFORMED = {
+    "empty-layout": lambda p: _set(p, ["layout"], []),
+    "string-entry": lambda p: _set(p, ["matrix", 0, 0], "ab"),
+    "numeric-string-entry": lambda p: _set(p, ["matrix", 0, 0], "12"),
+    "null-entry": lambda p: _set(p, ["matrix", 0, 0], None),
+    "string-layout": lambda p: _set(p, ["layout"], "x"),
+    "number-layout-entries": lambda p: _set(p, ["layout"], [1, 2]),
+    "number-matrix": lambda p: _set(p, ["matrix"], 5),
+    "top-level-list": lambda p: [p],
+}
 
 
 class TestMake:
@@ -118,10 +140,25 @@ class TestAnalyze:
         run(["analyze", str(st), "-o", str(b)])
         assert a.read_text() == b.read_text()
 
-    def test_malformed_file_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("edit", list(MALFORMED), ids=list(MALFORMED))
+    def test_malformed_file_exits_2(self, tmp_path, edit):
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"layout\": []}")
-        assert run(["analyze", str(bad)]) == 2
+        bad.write_text(json.dumps(MALFORMED[edit](qd.make_horodecki(0.3).to_dict())))
+        with pytest.raises(errors.QDarwinError):
+            qd.load_state(str(bad))
+        for command in (["analyze", str(bad)],
+                        ["scan", str(bad), "--delta", "0.1", "--seed", "1"]):
+            assert run(command) == 2
+
+    def test_missing_file_exits_2(self, tmp_path):
+        assert run(["analyze", str(tmp_path / "absent.json")]) == 2
+
+    def test_tol_num_is_appendix_c_only(self, tmp_path):
+        st = tmp_path / "st.json"
+        qd.save_state(qd.make_horodecki(0.3), str(st))
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", str(st), "--tol-num", "1e-9"])
+        assert exc.value.code == 2
 
     def test_invalid_state_exits_2(self, tmp_path):
         rho = qd.make_horodecki(0.3)
@@ -218,13 +255,13 @@ class TestAppendixC:
         assert run(["appendix-c", "--grid-points", "11", "--out-csv", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 11
-        assert set(rows[0]) == {"p", "H_S", "I", "chi_optimized",
+        assert set(rows[0]) == {"p", "H_S", "I", "chi_bits",
                                 "chi_closed_form", "discord", "m_sqd"}
         mid = rows[5]
         assert float(mid["p"]) == pytest.approx(0.5)
         assert float(mid["H_S"]) == pytest.approx(1.0, abs=1e-9)
         assert float(mid["I"]) == pytest.approx(1.0, abs=1e-9)
-        assert float(mid["chi_optimized"]) == pytest.approx(0.0, abs=1e-9)
+        assert float(mid["chi_bits"]) == pytest.approx(0.0, abs=1e-9)
 
     def test_grid_too_small_exits_2(self, tmp_path):
         assert run(["appendix-c", "--grid-points", "2",

@@ -193,38 +193,44 @@ class TestMeasureSubsystem:
         env = qd.validate_density_matrix(
             np.diag([0.4, 0.6]), qd.SubsystemLayout.of(("E1", 2), system=None))
         rho = qd.tensor([zero, env])
-        ens = qd.measure_subsystem(rho, qd.ProjectiveMeasurement.computational("S", 2))
-        assert ens.outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
-        assert ens.outcomes[1].state is None
-        assert np.allclose(ens.outcomes[0].state.matrix, env.matrix, atol=1e-12)
+        probs, conds = qd.branch_decomposition(
+            rho, "S", qd.ProjectiveMeasurement.computational("S", 2))
+        assert probs[0] == pytest.approx(1.0, abs=1e-12)
+        assert conds[1] is None
+        assert np.allclose(conds[0], env.matrix, atol=1e-12)
 
     def test_bell_measurement(self):
-        ens = qd.measure_subsystem(
-            bell_state(), qd.ProjectiveMeasurement.computational("S", 2))
-        assert [o.probability for o in ens.outcomes] == pytest.approx([0.5, 0.5])
-        assert np.allclose(ens.outcomes[0].state.matrix, np.diag([1.0, 0.0]))
-        assert np.allclose(ens.outcomes[1].state.matrix, np.diag([0.0, 1.0]))
+        probs, conds = qd.branch_decomposition(
+            bell_state(), "S", qd.ProjectiveMeasurement.computational("S", 2))
+        assert list(probs) == pytest.approx([0.5, 0.5])
+        assert np.allclose(conds[0], np.diag([1.0, 0.0]))
+        assert np.allclose(conds[1], np.diag([0.0, 1.0]))
 
     @pytest.mark.parametrize("p", [0.25, 0.7])
     def test_horodecki_conditionals(self, p):
-        rho = qd.make_horodecki(p)
-        ens = qd.measure_subsystem(rho, qd.ProjectiveMeasurement.computational("S", 2))
+        ens = qd.pointer_ensemble(qd.make_horodecki(p), "S", ["E1"])
         pt = horodecki_p_tilde(p)
-        assert ens.outcomes[0].probability == pytest.approx(pt, abs=1e-12)
+        assert ens.probabilities[0] == pytest.approx(pt, abs=1e-12)
         expected0 = np.diag([p * p, (1 - p) ** 2]) / pt
-        assert np.allclose(ens.outcomes[0].state.matrix, expected0, atol=1e-12)
-        assert np.allclose(ens.outcomes[1].state.matrix, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(ens.conditionals[0], expected0, atol=1e-12)
+        assert np.allclose(ens.conditionals[1], np.eye(2) / 2, atol=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_probabilities_normalize_and_states_validate(self, seed):
         rho = random_state(seed)
-        ens = qd.measure_subsystem(
-            rho, qd.ProjectiveMeasurement.computational("S", rho.layout.dim_of("S")))
-        assert sum(o.probability for o in ens.outcomes) == pytest.approx(1.0, abs=1e-9)
-        for o in ens.outcomes:
-            if o.state is not None:
-                qd.validate_density_matrix(o.state.matrix, o.state.layout)
+        probs, conds = qd.branch_decomposition(
+            rho, "S", qd.ProjectiveMeasurement.computational("S", rho.layout.dim_of("S")))
+        rest = rho.layout.subset(rho.layout.environment_labels)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        for cond in conds:
+            if cond is not None:
+                qd.validate_density_matrix(cond, rest)
+
+    def test_basis_dimension_must_match_factor(self):
+        with pytest.raises(errors.DimensionMismatch):
+            qd.branch_decomposition(qd.make_horodecki(0.3), "S",
+                                    qd.ProjectiveMeasurement.computational("S", 3))
 
 
 class TestDephase:
@@ -267,8 +273,8 @@ class TestMeasurementValidation:
 
     def test_unknown_subsystem(self):
         with pytest.raises(errors.UnknownLabel):
-            qd.measure_subsystem(bell_state(),
-                                 qd.ProjectiveMeasurement.computational("Q", 2))
+            qd.branch_decomposition(bell_state(), "Q",
+                                    qd.ProjectiveMeasurement.computational("Q", 2))
 
 
 class TestStateFile:

@@ -187,6 +187,33 @@ class TestEquivalence:
         w = qd.verify_equivalence(rho, "S")
         assert w.borderline
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_degenerate_pointer_splits_chi_and_broadcast_bases(self, seed):
+        # rho_S = I/2: chi is read in the canonical eigenbasis, the broadcast
+        # detector in the probe-refined one, so the verdicts disagree and only
+        # the pointer-gap flag keeps the case from counting as a failure
+        rho = qd.make_cq_state(seed, [0.5, 0.5], 0.0, n_subenvs=2)
+        w = qd.verify_equivalence(rho, "S")
+        assert w.sbs.holds and not w.sqd.holds
+        assert w.borderline
+        assert any(r.startswith("pointer-basis eigenvalue gap")
+                   for r in w.borderline_reasons)
+
+    def test_product_stage_is_strong_independence(self):
+        checked = 0
+        for _, family, rho in theorem_suite(seed=1, n_cases=40):
+            if len(rho.layout.environment_labels) < 2:
+                continue
+            w = qd.verify_equivalence(rho, "S")
+            sbs = qd.detect_broadcast_structure(rho, "S")
+            si = qd.check_strong_independence(rho, "S")
+            for product in (w.sbs, sbs):
+                assert product.max_conditional_cmi == w.independence.worst_cmi, family
+                assert product.product_ok == w.independence.holds, family
+            assert si == w.independence, family
+            checked += 1
+        assert checked >= 10
+
 
 class TestObjectivityDeficit:
     def test_broadcast_state_zero(self):

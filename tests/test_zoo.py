@@ -200,18 +200,14 @@ class TestCqFamily:
     @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 1.0])
     def test_neighbor_fidelity_matches_knob(self, overlap):
         rho = qd.make_cq_state(3, [0.4, 0.6], overlap)
-        chi = qd.holevo_quantity(rho, "S", ["E1"])
-        ens = qd.measure_subsystem(rho, chi.basis)
-        conds = [o.state for o in ens.outcomes if o.state is not None]
+        _, conds = qd.pointer_ensemble(rho, "S", ["E1"]).live()
         assert len(conds) == 2
         # sqrt of clipped eigenvalue noise floors pure-state fidelity at ~1e-8
         assert qd.fidelity(conds[0], conds[1]) == pytest.approx(overlap, abs=1e-7)
 
     def test_three_branch_fan_has_uniform_overlap(self):
         rho = qd.make_cq_state(5, [0.2, 0.3, 0.5], 0.4)
-        chi = qd.holevo_quantity(rho, "S", ["E1"])
-        ens = qd.measure_subsystem(rho, chi.basis)
-        conds = [o.state for o in ens.outcomes if o.state is not None]
+        _, conds = qd.pointer_ensemble(rho, "S", ["E1"]).live()
         for i in range(3):
             for j in range(i + 1, 3):
                 assert qd.fidelity(conds[i], conds[j]) == pytest.approx(0.4, abs=1e-9)

@@ -1,12 +1,10 @@
 """Objectivity diagnostics for finite-dimensional system-environment states."""
 
 from .core import (
-    DEFAULT_TOL,
     DensityMatrix,
     ProjectiveMeasurement,
     PureState,
     SubsystemLayout,
-    Tolerances,
     dephase_subsystem,
     eig_hermitian,
     load_state,
@@ -34,14 +32,12 @@ from .measures import (
     von_neumann_entropy,
 )
 from .objectivity import (
-    DEFAULT_VERDICT_TOL,
     IndependenceVerdict,
     ObjectivityReport,
     RedundancyReport,
     SbsVerdict,
     SqdVerdict,
     TheoremWitness,
-    VerdictTolerances,
     analyze,
     broadcast_distance_bound,
     check_strong_darwinism,

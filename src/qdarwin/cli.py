@@ -8,23 +8,16 @@ error, 3 optimizer non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import zoo
-from .core import DensityMatrix, SubsystemLayout, load_state, save_state
+from .core import EPS_NUM, EPS_OPT, DensityMatrix, SubsystemLayout, load_state, save_state
 from .errors import OptimizerDidNotConverge, QDarwinError
 from .measures import pointer_ensemble
-from .objectivity import (
-    DEFAULT_VERDICT_TOL,
-    analyze,
-    objectivity_deficit,
-    redundancy,
-    verify_equivalence,
-)
+from .objectivity import analyze, objectivity_deficit, redundancy, verify_equivalence
 from .optimize import DEFAULT_OPT, OptimizerConfig
 
 EXIT_OK = 0
@@ -41,20 +34,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--tol-opt", type=float, default=1e-6,
-                        help="tolerance for optimized quantities, bits")
-    parser.add_argument("--restarts", type=int, default=DEFAULT_OPT.restarts,
-                        help="optimizer restarts for non-qubit subsystems")
-    parser.add_argument("--grid", default=None, metavar="TxP",
-                        help="Bloch grid densities, e.g. 64x32")
-    parser.add_argument("--max-refine-iter", type=int,
-                        default=DEFAULT_OPT.max_refine_iter,
-                        help="iteration cap for simplex refinement")
-    parser.add_argument("--out", "-o", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format where both are supported")
+def _common_flags(parser: argparse.ArgumentParser, seed: bool = True,
+                  tol_opt: bool = True, out: bool = True) -> None:
+    """Add the flags several subcommands share; each subcommand takes only
+    those it reads."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+    if tol_opt:
+        parser.add_argument("--tol-opt", type=float, default=EPS_OPT,
+                            help="tolerance for optimized quantities and the "
+                                 "strong-Darwinism equality, bits")
+    if out:
+        parser.add_argument("--out", "-o", default=None,
+                            help="output path (default stdout)")
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -92,6 +84,13 @@ def _parse_labels(raw: str | None) -> list[str] | None:
     return labels
 
 
+def _numbers(raw: str, cast, flag: str) -> list:
+    try:
+        return [cast(x) for x in raw.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated numbers, got {raw!r}") from None
+
+
 def _require_seed(args) -> int:
     if args.seed is None:
         raise UsageError("--seed is required for randomized subcommands")
@@ -120,13 +119,13 @@ def cmd_make(args) -> int:
         seed = _require_seed(args)
         if not args.dims:
             raise UsageError("--dims is required, e.g. --dims 2,2,2 (system first)")
-        dims = [int(x) for x in args.dims.split(",")]
+        dims = _numbers(args.dims, int, "--dims")
         layout = zoo.std_layout(dims[0], dims[1:]) if len(dims) > 1 \
             else SubsystemLayout.of(("S", dims[0]), system="S")
         rho = zoo.make_haar_pure(seed, layout).to_density()
     elif kind == "cq":
         seed = _require_seed(args)
-        probs = [float(x) for x in args.probs.split(",")]
+        probs = _numbers(args.probs, float, "--probs")
         if args.overlap is None or not 0.0 <= args.overlap <= 1.0:
             raise UsageError("--overlap must lie in [0, 1]")
         rho = zoo.make_cq_state(seed, probs, args.overlap, args.subenvs)
@@ -140,8 +139,11 @@ def cmd_make(args) -> int:
     elif kind == "sbs":
         if not args.spec:
             raise UsageError("--spec SPEC_JSON is required for kind 'sbs'")
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = zoo.SbsSpec.from_dict(json.load(fh))
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                spec = zoo.SbsSpec.from_dict(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"invalid spec file: {exc}") from None
         rho = zoo.make_broadcast_state(spec)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown kind {kind!r}")
@@ -173,10 +175,8 @@ def cmd_analyze(args) -> int:
     rho, system = _load(args)
     fragment = _parse_labels(args.fragment)
     subfragments = [_parse_labels(s) for s in (args.subfragment or [])]
-    opt = _optimizer_config(args)
-    tol = dataclasses.replace(DEFAULT_VERDICT_TOL, equality=args.tol_opt)
-    report = analyze(rho, system, fragment, subfragments or None, opt, tol,
-                     seed=args.seed)
+    report = analyze(rho, system, fragment, subfragments or None,
+                     _optimizer_config(args), seed=args.seed)
     if args.format == "csv":
         headline = {
             "system": report.system,
@@ -205,9 +205,8 @@ def cmd_scan(args) -> int:
     if not 0.0 < args.delta < 1.0:
         raise UsageError(f"--delta must lie strictly inside (0, 1), got {args.delta}")
     seed = _require_seed(args)
-    opt = _optimizer_config(args)
-    report = redundancy(rho, system, args.delta, opt, args.strategy,
-                        scan_samples=args.samples, seed=seed)
+    report = redundancy(rho, system, args.delta, OptimizerConfig(eps_opt=args.tol_opt),
+                        args.strategy, scan_samples=args.samples, seed=seed)
     lines = ["fraction,mean_chi_bits,mean_discord_bits,mean_I_bits,n_samples"]
     for pt in report.scan_curve:
         lines.append(",".join([_fmt(pt.fraction), _fmt(pt.mean_holevo),
@@ -222,7 +221,7 @@ def cmd_verify_theorem(args) -> int:
     if args.cases < 1:
         raise UsageError(f"--cases must be >= 1, got {args.cases}")
     seed = _require_seed(args)
-    opt = _optimizer_config(args)
+    opt = OptimizerConfig(eps_opt=args.tol_opt)
     counts = {"pass": 0, "borderline": 0, "fail": 0}
     rows = []
     for index, family, rho in zoo.theorem_suite(seed, args.cases, args.dims_cap,
@@ -257,7 +256,6 @@ def cmd_verify_theorem(args) -> int:
 def cmd_appendix_c(args) -> int:
     if args.grid_points < 3:
         raise UsageError(f"--grid-points must be >= 3, got {args.grid_points}")
-    _optimizer_config(args)  # rejects a malformed --grid
     ps = np.linspace(0.01, 0.99, args.grid_points)
     lines = ["p,H_S,I,chi_bits,chi_closed_form,discord,m_sqd"]
     worst_chi = (0.0, None)
@@ -304,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--max-dim", type=int, default=4,
                         help="subenvironment dimension cap")
     p_make.add_argument("--spec", default=None, help="broadcast spec JSON path")
-    _common_flags(p_make)
+    _common_flags(p_make, tol_opt=False)
     p_make.set_defaults(func=cmd_make)
 
     p_an = sub.add_parser("analyze", help="full objectivity report for one state")
@@ -314,6 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated subenvironment labels")
     p_an.add_argument("--subfragment", action="append", default=None,
                       help="disjoint subfragment (repeatable), comma-separated labels")
+    p_an.add_argument("--restarts", type=int, default=DEFAULT_OPT.restarts,
+                      help="optimizer restarts for non-qubit subsystems")
+    p_an.add_argument("--grid", default=None, metavar="TxP",
+                      help="Bloch grid densities, e.g. 64x32")
+    p_an.add_argument("--max-refine-iter", type=int, default=DEFAULT_OPT.max_refine_iter,
+                      help="iteration cap for simplex refinement")
+    p_an.add_argument("--format", choices=("json", "csv"), default="json",
+                      help="output format")
     _common_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--strategy", choices=("exhaustive", "greedy"), default=None)
     p_scan.add_argument("--out-csv", default=None, help="scan curve CSV path")
     p_scan.add_argument("--report", default=None, help="redundancy report JSON path")
-    _common_flags(p_scan)
+    _common_flags(p_scan, out=False)
     p_scan.set_defaults(func=cmd_scan)
 
     p_thm = sub.add_parser("verify-theorem",
@@ -345,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "counterexample family")
     p_app.add_argument("--grid-points", type=int, default=99)
     p_app.add_argument("--out-csv", default=None, help="CSV output path")
-    p_app.add_argument("--tol-num", type=float, default=1e-9,
+    p_app.add_argument("--tol-num", type=float, default=EPS_NUM,
                        help="tolerance for closed-form quantities, bits")
-    _common_flags(p_app)
+    _common_flags(p_app, seed=False)
     p_app.set_defaults(func=cmd_appendix_c)
     return parser
 

@@ -28,22 +28,23 @@ SYSTEM = "system"
 ENVIRONMENT = "environment"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Validation tolerances; defaults sized for double precision at dim <= 64."""
-
-    herm: float = 1e-9
-    trace: float = 1e-9
-    orth: float = 1e-9
-    psd: float = 1e-9
-    prob: float = 1e-12
-
-
-DEFAULT_TOL = Tolerances()
-
-# Eigenvalues closer than this are treated as one degenerate cluster when
-# canonicalizing eigenbases.
-DEGENERACY_GAP = 1e-9
+# Every threshold that decides a result, each written once; all are sized for
+# double precision at dim <= 64.
+TOL_HERM = 1e-9        # max |m - m^dagger| entry of a valid state or eigen-input
+TOL_TRACE = 1e-9       # |tr rho - 1|, |norm - 1| and the sum-to-one of distributions
+TOL_ORTH = 1e-9        # max entry of V^dagger V - 1 and V V^dagger - 1 of a basis
+TOL_PSD = 1e-9         # most negative eigenvalue of a valid state
+TOL_PROB = 1e-12       # branch probability, or H(S) in bits, treated as zero
+DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one degenerate cluster
+RANK_FLOOR = 1e-7      # Gram-Schmidt residual below which a projector column is dependent
+HERM_EXACT = 1e-12     # trace norm takes the Hermitian eigenvalue path within this
+TAU_COMM = 1e-9        # Frobenius norm of [rho_i, rho_j] below which conditionals commute
+EPS_NUM = 1e-9         # negative chi or CMI from rounding clamps to 0; appendix-c --tol-num
+EPS_OPT = 1e-6         # optimizer restart gap and strong-Darwinism equality, bits (--tol-opt)
+TOL_OFFDIAG = 1e-8     # broadcast structure: norm of an off-diagonal pointer block
+TOL_OVERLAP = 1e-8     # broadcast structure: overlap tr(rho_i rho_j) of two conditionals
+TOL_CMI = 1e-8         # strong independence: I(E_j:E_k|S), bits
+BORDERLINE_FACTOR = 10.0  # a diagnostic within this factor of its tolerance is borderline
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -125,11 +126,13 @@ class SubsystemLayout:
         labels, dims, system = [], [], None
         for e in entries:
             try:
-                labels.append(str(e["label"]))
-                dims.append(int(e["dim"]))
-            except (KeyError, TypeError, ValueError):
-                raise InvalidLayout(
-                    f"layout entry {e!r} needs a label and an integer dim") from None
+                label, dim = str(e["label"]), e["dim"]
+            except (KeyError, TypeError):
+                dim = None
+            if type(dim) is not int:  # JSON integers only: no float, string or bool
+                raise InvalidLayout(f"layout entry {e!r} needs a label and an integer dim")
+            labels.append(label)
+            dims.append(dim)
             if e.get("role", ENVIRONMENT) == SYSTEM:
                 if system is not None:
                     raise InvalidLayout("more than one factor marked as system")
@@ -180,39 +183,36 @@ class PureState:
         return DensityMatrix(_freeze(rho), self.layout)
 
 
-def validate_pure_state(amplitudes: np.ndarray, layout: SubsystemLayout,
-                        tol: Tolerances = DEFAULT_TOL) -> PureState:
+def validate_pure_state(amplitudes: np.ndarray, layout: SubsystemLayout) -> PureState:
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if v.size != layout.total_dim:
         raise DimensionMismatch(
             f"vector length {v.size} does not match layout dimension {layout.total_dim}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol.trace:
+    if abs(norm - 1.0) > TOL_TRACE:
         raise TraceNotOne(f"state norm is {norm}, not 1")
     return PureState(_freeze(v), layout)
 
 
-def validate_density_matrix(matrix: np.ndarray, layout: SubsystemLayout,
-                            tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def validate_density_matrix(matrix: np.ndarray, layout: SubsystemLayout) -> DensityMatrix:
     """Check Hermiticity, positivity, and unit trace; eigenvalues are never mutated here."""
     m = _check_matrix(matrix)
     if m.shape[0] != layout.total_dim:
         raise DimensionMismatch(
             f"matrix dimension {m.shape[0]} does not match layout dimension {layout.total_dim}")
     herm_err = float(np.max(np.abs(m - m.conj().T)))
-    if herm_err > tol.herm:
-        raise NotHermitian(f"Hermiticity violation {herm_err:.3e} exceeds {tol.herm:.1e}")
+    if herm_err > TOL_HERM:
+        raise NotHermitian(f"Hermiticity violation {herm_err:.3e} exceeds {TOL_HERM:.1e}")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.trace:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise TraceNotOne(f"trace is {tr:.12g}, not 1")
     lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-    if lo < -tol.psd:
+    if lo < -TOL_PSD:
         raise NotPositive(lo)
     return DensityMatrix(_freeze(m), layout)
 
 
-def eig_hermitian(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending-eigenvalue Hermitian eigendecomposition with deterministic output.
 
     Within each degenerate cluster (gap below ``DEGENERACY_GAP``) the returned
@@ -222,8 +222,8 @@ def eig_hermitian(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL
     """
     m = _check_matrix(matrix)
     herm_err = float(np.max(np.abs(m - m.conj().T)))
-    if herm_err > tol.herm:
-        raise NotHermitian(f"Hermiticity violation {herm_err:.3e} exceeds {tol.herm:.1e}")
+    if herm_err > TOL_HERM:
+        raise NotHermitian(f"Hermiticity violation {herm_err:.3e} exceeds {TOL_HERM:.1e}")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -259,7 +259,7 @@ def _canonical_subspace_basis(vecs: np.ndarray) -> np.ndarray:
         for prev in cols:
             c -= prev * (prev.conj() @ c)
         norm = float(np.linalg.norm(c))
-        if norm > 1e-7:
+        if norm > RANK_FLOOR:
             cols.append(c / norm)
         if len(cols) == k:
             break
@@ -324,15 +324,14 @@ class ProjectiveMeasurement:
     basis: np.ndarray
 
     @classmethod
-    def from_vectors(cls, subsystem: str, vectors: np.ndarray,
-                     tol: Tolerances = DEFAULT_TOL) -> "ProjectiveMeasurement":
+    def from_vectors(cls, subsystem: str, vectors: np.ndarray) -> "ProjectiveMeasurement":
         v = np.asarray(vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DimensionMismatch(f"basis must be square, got {v.shape}")
         gram = v.conj().T @ v
-        if float(np.max(np.abs(gram - np.eye(v.shape[0])))) > tol.orth:
+        if float(np.max(np.abs(gram - np.eye(v.shape[0])))) > TOL_ORTH:
             raise NotOrthonormal("basis vectors are not orthonormal")
-        if float(np.max(np.abs(v @ v.conj().T - np.eye(v.shape[0])))) > tol.orth:
+        if float(np.max(np.abs(v @ v.conj().T - np.eye(v.shape[0])))) > TOL_ORTH:
             raise NotOrthonormal("projectors do not sum to the identity")
         return cls(subsystem, _freeze(v))
 
@@ -398,7 +397,7 @@ def save_state(rho: DensityMatrix, path_or_file: str | IO[str]) -> None:
             json.dump(payload, fh)
 
 
-def load_state(path_or_file: str | IO[str], tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def load_state(path_or_file: str | IO[str]) -> DensityMatrix:
     """Read and validate a state from the JSON state format."""
     if hasattr(path_or_file, "read"):
         payload = json.load(path_or_file)
@@ -415,4 +414,4 @@ def load_state(path_or_file: str | IO[str], tol: Tolerances = DEFAULT_TOL) -> De
     if (parts is None or parts.dtype.kind not in "iuf" or parts.ndim != 3
             or parts.shape[0] != parts.shape[1] or parts.shape[2] != 2):
         raise DimensionMismatch("'matrix' must be a d x d array of [re, im] number pairs")
-    return validate_density_matrix(parts[..., 0] + 1j * parts[..., 1], layout, tol)
+    return validate_density_matrix(parts[..., 0] + 1j * parts[..., 1], layout)

@@ -26,24 +26,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    DEGENERACY_GAP,
+    EPS_NUM,
+    EPS_OPT,
+    HERM_EXACT,
+    TAU_COMM,
+    TOL_PROB,
     DensityMatrix,
     ProjectiveMeasurement,
-    Tolerances,
     eig_hermitian,
     factor_first,
     partial_trace,
 )
 from .errors import DimensionMismatch, OverlappingParts
-from .optimize import (
-    DEFAULT_OPT,
-    EPS_NUM,
-    EPS_OPT,
-    OptimizerConfig,
-    maximize_over_bases,
-)
-
-TAU_COMM = 1e-9
+from .optimize import DEFAULT_OPT, OptimizerConfig, maximize_over_bases
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def trace_norm(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=complex)
-    if np.allclose(m, m.conj().T, atol=1e-12):
+    if np.allclose(m, m.conj().T, atol=HERM_EXACT):
         return float(np.abs(np.linalg.eigvalsh(m)).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
@@ -153,21 +149,19 @@ def fidelity(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> fl
     return float(min(s.sum(), 1.0))
 
 
-def pointer_basis(rho: DensityMatrix, system: str,
-                  tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
+def pointer_basis(rho: DensityMatrix, system: str) -> ProjectiveMeasurement:
     """Canonical eigenbasis of the reduced system state."""
-    _, vecs = eig_hermitian(partial_trace(rho, [system]).matrix, tol)
+    _, vecs = eig_hermitian(partial_trace(rho, [system]).matrix)
     return ProjectiveMeasurement(system, vecs)
 
 
 def branch_decomposition(rho: DensityMatrix, system: str,
-                         basis: ProjectiveMeasurement,
-                         tol: Tolerances = DEFAULT_TOL
+                         basis: ProjectiveMeasurement
                          ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """Probabilities of measuring ``system`` in ``basis``, and the normalized
     conditional states of the remaining factors in layout order.
 
-    Outcomes with probability below ``tol.prob`` have conditional None.
+    Outcomes with probability below ``TOL_PROB`` have conditional None.
     """
     d_s = rho.layout.dim_of(system)
     if basis.basis.shape[0] != d_s:
@@ -182,7 +176,7 @@ def branch_decomposition(rho: DensityMatrix, system: str,
         block = np.einsum("i,ijkl,k->jl", ket.conj(), t, ket)
         p = max(float(block.trace().real), 0.0)
         probs[a] = p
-        conds.append(block / p if p > tol.prob else None)
+        conds.append(block / p if p > TOL_PROB else None)
     return probs, conds
 
 
@@ -191,7 +185,7 @@ class PointerEnsemble:
     """Pointer ensemble {p_i, rho_F|i} of one (system, fragment) reduction.
 
     ``eigenvalues`` are those of rho_S in descending order; ``conditionals[i]``
-    is None for a branch with probability below ``Tolerances.prob``.
+    is None for a branch with probability below ``TOL_PROB``.
     Entropies are in bits; ``h_f_given_s`` is sum_i p_i H(rho_F|i).
     """
 
@@ -272,8 +266,7 @@ class PointerEnsemble:
 
 
 def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
-                     basis: ProjectiveMeasurement | None = None,
-                     tol: Tolerances = DEFAULT_TOL) -> PointerEnsemble:
+                     basis: ProjectiveMeasurement | None = None) -> PointerEnsemble:
     """Reduce rho to (system, fragment) once and split it into pointer branches.
 
     ``basis`` defaults to the canonical eigenbasis of rho_S; the broadcast
@@ -284,10 +277,10 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
         raise OverlappingParts(f"fragment contains the system label {system!r}")
     joint = partial_trace(rho, (system, *frag))
     rho_s = partial_trace(joint, [system]).matrix
-    w, vecs = eig_hermitian(rho_s, tol)
+    w, vecs = eig_hermitian(rho_s)
     if basis is None:
         basis = ProjectiveMeasurement(system, vecs)
-    probs, conds = branch_decomposition(joint, system, basis, tol)
+    probs, conds = branch_decomposition(joint, system, basis)
     rho_f = partial_trace(joint, frag).matrix
     h_f_given_s = sum(float(p) * von_neumann_entropy(c)
                       for p, c in zip(probs, conds) if c is not None)
@@ -296,21 +289,20 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
                            von_neumann_entropy(joint), float(h_f_given_s))
 
 
-def holevo_quantity(rho: DensityMatrix, system: str, fragment: Sequence[str],
-                    tol: Tolerances = DEFAULT_TOL) -> MeasureValue:
+def holevo_quantity(rho: DensityMatrix, system: str,
+                    fragment: Sequence[str]) -> MeasureValue:
     """Classical information about the pointer observable carried by the fragment.
 
     Evaluates H(rho_F) - sum_a p_a H(rho_F|a) for the pointer-basis ensemble.
     """
-    ens = pointer_ensemble(rho, system, fragment, tol=tol)
+    ens = pointer_ensemble(rho, system, fragment)
     return MeasureValue(ens.holevo, ens.basis)
 
 
-def discord(rho: DensityMatrix, system: str, fragment: Sequence[str],
-            tol: Tolerances = DEFAULT_TOL) -> MeasureValue:
+def discord(rho: DensityMatrix, system: str, fragment: Sequence[str]) -> MeasureValue:
     """Quantum correlations I(S:F) - chi at the shared pointer basis; negatives
     within ``EPS_OPT`` clamp to 0."""
-    ens = pointer_ensemble(rho, system, fragment, tol=tol)
+    ens = pointer_ensemble(rho, system, fragment)
     value = ens.discord
     return MeasureValue(0.0 if -EPS_OPT <= value < 0.0 else value, ens.basis)
 
@@ -340,11 +332,12 @@ def _classical_mi_batch(probs: np.ndarray, cond_stack: np.ndarray,
     return (np.where(mask, joint * np.log2(ratio), 0.0)).sum(axis=(1, 2))
 
 
-def common_eigenbasis(mats: Sequence[np.ndarray], gap: float = 1e-9) -> np.ndarray:
+def common_eigenbasis(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Simultaneous eigenbasis of (near-)commuting Hermitian matrices.
 
     Diagonalizes the first matrix, then refines each degenerate cluster with the
-    projections of the remaining matrices.  Deterministic given the input order.
+    projections of the remaining matrices; eigenvalues closer than
+    ``DEGENERACY_GAP`` stay one cluster.  Deterministic given the input order.
     """
     dim = mats[0].shape[0]
     basis = np.eye(dim, dtype=complex)
@@ -362,7 +355,7 @@ def common_eigenbasis(mats: Sequence[np.ndarray], gap: float = 1e-9) -> np.ndarr
             start = 0
             while start < len(cluster):
                 stop = start + 1
-                while stop < len(cluster) and w[stop] - w[stop - 1] < gap:
+                while stop < len(cluster) and w[stop] - w[stop - 1] < DEGENERACY_GAP:
                     stop += 1
                 new_clusters.append(cluster[start:stop])
                 start = stop
@@ -373,9 +366,8 @@ def common_eigenbasis(mats: Sequence[np.ndarray], gap: float = 1e-9) -> np.ndarr
 def accessible_information_bounds(rho: DensityMatrix, system: str,
                                   fragment: Sequence[str],
                                   opt: OptimizerConfig = DEFAULT_OPT,
-                                  tol: Tolerances = DEFAULT_TOL,
                                   optimize_lower: bool = True) -> AccessibleInfoBounds:
     """Accessible-information bracket of the canonical pointer ensemble; see
     :meth:`PointerEnsemble.accessible_information`."""
-    return pointer_ensemble(rho, system, fragment, tol=tol).accessible_information(
+    return pointer_ensemble(rho, system, fragment).accessible_information(
         opt, optimize_lower)

@@ -16,10 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    BORDERLINE_FACTOR,
+    DEGENERACY_GAP,
+    TOL_CMI,
+    TOL_OFFDIAG,
+    TOL_OVERLAP,
+    TOL_PROB,
     DensityMatrix,
     ProjectiveMeasurement,
-    Tolerances,
     canonical_phases,
     dephase_subsystem,
     factor_first,
@@ -44,24 +48,8 @@ from .measures import (
 from .optimize import DEFAULT_OPT, OptimizerConfig
 
 
-@dataclass(frozen=True)
-class VerdictTolerances:
-    """Thresholds for the boolean objectivity verdicts."""
-
-    offdiag: float = 1e-8
-    overlap: float = 1e-8
-    cmi: float = 1e-8
-    equality: float = 1e-6
-    borderline_factor: float = 10.0
-    degeneracy_gap: float = 1e-9
-
-
-DEFAULT_VERDICT_TOL = VerdictTolerances()
-
-
-def _in_borderline_band(diagnostic: float, tolerance: float,
-                        factor: float) -> bool:
-    return tolerance / factor <= diagnostic <= tolerance * factor
+def _in_borderline_band(diagnostic: float, tolerance: float) -> bool:
+    return tolerance / BORDERLINE_FACTOR <= diagnostic <= tolerance * BORDERLINE_FACTOR
 
 
 @dataclass(frozen=True)
@@ -123,23 +111,21 @@ def check_strong_darwinism(rho: DensityMatrix, system: str,
                            fragment: Sequence[str] | None = None,
                            subfragments: Sequence[Sequence[str]] | None = None,
                            opt: OptimizerConfig = DEFAULT_OPT,
-                           tol: VerdictTolerances = DEFAULT_VERDICT_TOL,
-                           state_tol: Tolerances = DEFAULT_TOL,
                            optimize_acc_lower: bool = True) -> SqdVerdict:
-    """Check I(S:F) = chi = H(S) on the fragment and every listed subfragment.
+    """Check I(S:F) = chi = H(S), within ``opt.eps_opt`` bits, on the fragment
+    and every listed subfragment.
 
     A system with zero entropy carries no information and the condition holds
     trivially.  The accessible information is certified exact only when the
     pointer-basis ensemble commutes; otherwise the verdict reports a bracket.
     """
-    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), tol=state_tol)
-    return _strong_darwinism(ens, subfragments, opt, tol, state_tol, optimize_acc_lower)
+    ens = pointer_ensemble(rho, system, _fragment(rho, fragment))
+    return _strong_darwinism(ens, subfragments, opt, optimize_acc_lower)
 
 
 def _strong_darwinism(ens: PointerEnsemble,
                       subfragments: Sequence[Sequence[str]] | None,
-                      opt: OptimizerConfig, tol: VerdictTolerances,
-                      state_tol: Tolerances, optimize_acc_lower: bool) -> SqdVerdict:
+                      opt: OptimizerConfig, optimize_acc_lower: bool) -> SqdVerdict:
     subfragments = [list(s) for s in (subfragments or [])]
     seen: set[str] = set()
     for sf in subfragments:
@@ -151,24 +137,25 @@ def _strong_darwinism(ens: PointerEnsemble,
         seen |= s
 
     h_s = ens.h_s
-    if h_s <= state_tol.prob:
-        return SqdVerdict(True, 0.0, 0.0, 0.0, 0.0, (), tol.equality, None, trivial=True)
+    equality = opt.eps_opt
+    if h_s <= TOL_PROB:
+        return SqdVerdict(True, 0.0, 0.0, 0.0, 0.0, (), equality, None, trivial=True)
 
     def complete(e: PointerEnsemble) -> bool:
-        return (abs(e.mutual_information - e.holevo) <= tol.equality
-                and abs(e.holevo - h_s) <= tol.equality)
+        return (abs(e.mutual_information - e.holevo) <= equality
+                and abs(e.holevo - h_s) <= equality)
 
     acc = ens.accessible_information(opt, optimize_acc_lower)
     holds = complete(ens)
     checks = []
     for sf in subfragments:
-        sub = pointer_ensemble(ens.joint, ens.system, sf, tol=state_tol)
+        sub = pointer_ensemble(ens.joint, ens.system, sf)
         sf_holds = complete(sub)
         holds = holds and sf_holds
         checks.append(SubfragmentCheck(tuple(sf), sf_holds, sub.mutual_information,
                                        sub.holevo))
     return SqdVerdict(holds, ens.mutual_information, ens.holevo, h_s, ens.discord,
-                      tuple(checks), tol.equality, acc)
+                      tuple(checks), equality, acc)
 
 
 @dataclass(frozen=True)
@@ -189,11 +176,11 @@ class SbsVerdict:
     distinguishable_per_subenv: bool
     product_ok: bool
 
-    def deciding_diagnostics(self, tol: VerdictTolerances) -> tuple[tuple[float, float], ...]:
-        return ((self.max_offdiagonal_block_norm, tol.offdiag),
-                (self.max_pairwise_overlap, tol.overlap),
-                (self.max_whole_fragment_overlap, tol.overlap),
-                (self.max_conditional_cmi, tol.cmi))
+    def deciding_diagnostics(self) -> tuple[tuple[float, float], ...]:
+        return ((self.max_offdiagonal_block_norm, TOL_OFFDIAG),
+                (self.max_pairwise_overlap, TOL_OVERLAP),
+                (self.max_whole_fragment_overlap, TOL_OVERLAP),
+                (self.max_conditional_cmi, TOL_CMI))
 
     def to_dict(self) -> dict:
         return {
@@ -213,8 +200,7 @@ class SbsVerdict:
         }
 
 
-def _refined_pointer(ens: PointerEnsemble, t: np.ndarray,
-                     tol: VerdictTolerances) -> ProjectiveMeasurement:
+def _refined_pointer(ens: PointerEnsemble, t: np.ndarray) -> ProjectiveMeasurement:
     """Canonical eigenbasis of a degenerate rho_S with its degenerate clusters
     refined by simultaneous diagonalization against fragment-probe operators;
     ``t`` is the joint state as a (d_s, d_f, d_s, d_f) array."""
@@ -226,7 +212,7 @@ def _refined_pointer(ens: PointerEnsemble, t: np.ndarray,
             probes.append(block + block.conj().T)
             if k > m:
                 probes.append(1j * (block - block.conj().T))
-    basis = common_eigenbasis(probes, gap=tol.degeneracy_gap)
+    basis = common_eigenbasis(probes)
     # re-sort columns by descending rho_S expectation
     expect = np.real(np.einsum("ij,jk,ik->k", ens.rho_s, basis, basis.conj()))
     basis = basis[:, np.argsort(-expect, kind="stable")]
@@ -234,9 +220,7 @@ def _refined_pointer(ens: PointerEnsemble, t: np.ndarray,
 
 
 def detect_broadcast_structure(rho: DensityMatrix, system: str,
-                               fragment: Sequence[str] | None = None,
-                               tol: VerdictTolerances = DEFAULT_VERDICT_TOL,
-                               state_tol: Tolerances = DEFAULT_TOL) -> SbsVerdict:
+                               fragment: Sequence[str] | None = None) -> SbsVerdict:
     """Detect the broadcast form sum_i p_i |i><i| x rho_i^E1 x ... with
     perfectly distinguishable conditionals on every subenvironment.
 
@@ -246,18 +230,18 @@ def detect_broadcast_structure(rho: DensityMatrix, system: str,
     subenvironments, which is the strong-independence check.  A verdict is
     always returned; nothing raises on failure.
     """
-    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), tol=state_tol)
-    independence = _independence(ens.joint, system, ens.fragment, tol)
-    return _broadcast_structure(ens, independence, tol, state_tol)
+    ens = pointer_ensemble(rho, system, _fragment(rho, fragment))
+    independence = _independence(ens.joint, system, ens.fragment)
+    return _broadcast_structure(ens, independence)
 
 
-def _broadcast_structure(ens: PointerEnsemble, independence: IndependenceVerdict | None,
-                         tol: VerdictTolerances, state_tol: Tolerances) -> SbsVerdict:
+def _broadcast_structure(ens: PointerEnsemble,
+                         independence: IndependenceVerdict | None) -> SbsVerdict:
     t, _ = factor_first(ens.joint, ens.system)
-    degenerate = ens.gap < tol.degeneracy_gap
+    degenerate = ens.gap < DEGENERACY_GAP
     if degenerate:
         ens = pointer_ensemble(ens.joint, ens.system, ens.fragment,
-                               basis=_refined_pointer(ens, t, tol), tol=state_tol)
+                               basis=_refined_pointer(ens, t))
     kets = ens.basis.basis
     d_s = kets.shape[1]
     max_offdiag = 0.0
@@ -265,7 +249,7 @@ def _broadcast_structure(ens: PointerEnsemble, independence: IndependenceVerdict
         for j in range(i + 1, d_s):
             block = np.einsum("i,ijkl,k->jl", kets[:, i].conj(), t, kets[:, j])
             max_offdiag = max(max_offdiag, float(np.linalg.norm(block)))
-    cq_ok = max_offdiag <= tol.offdiag
+    cq_ok = max_offdiag <= TOL_OFFDIAG
 
     _, live = ens.live()
     frag = ens.fragment
@@ -282,11 +266,11 @@ def _broadcast_structure(ens: PointerEnsemble, independence: IndependenceVerdict
                     for c in live]
         for a, b in itertools.combinations(subs, 2):
             max_sub = max(max_sub, abs(float(np.trace(a @ b).real)))
-    whole_ok = max_whole <= tol.overlap
-    sub_ok = max_sub <= tol.overlap
+    whole_ok = max_whole <= TOL_OVERLAP
+    sub_ok = max_sub <= TOL_OVERLAP
 
     max_cmi = 0.0 if independence is None else independence.worst_cmi
-    product_ok = max_cmi <= tol.cmi
+    product_ok = max_cmi <= TOL_CMI
 
     bipartite = cq_ok and whole_ok
     holds = cq_ok and sub_ok and product_ok
@@ -311,20 +295,19 @@ class IndependenceVerdict:
 
 
 def check_strong_independence(rho: DensityMatrix, system: str,
-                              subenvironments: Sequence[str] | None = None,
-                              tol: VerdictTolerances = DEFAULT_VERDICT_TOL
+                              subenvironments: Sequence[str] | None = None
                               ) -> IndependenceVerdict:
     """All pairwise I(E_j:E_k|S) must vanish within tolerance."""
     subenvs = _fragment(rho, subenvironments)
-    verdict = _independence(rho, system, subenvs, tol)
+    verdict = _independence(rho, system, subenvs)
     if verdict is None:
         raise NeedTwoSubenvironments(
             f"need at least two subenvironments, got {list(subenvs)}")
     return verdict
 
 
-def _independence(rho: DensityMatrix, system: str, subenvs: Sequence[str],
-                  tol: VerdictTolerances) -> IndependenceVerdict | None:
+def _independence(rho: DensityMatrix, system: str,
+                  subenvs: Sequence[str]) -> IndependenceVerdict | None:
     """Worst pairwise I(E_j:E_k|S); None for fewer than two subenvironments."""
     if len(subenvs) < 2:
         return None
@@ -334,7 +317,7 @@ def _independence(rho: DensityMatrix, system: str, subenvs: Sequence[str],
         cmi = conditional_mutual_information(rho, [a], [b], [system])
         if cmi >= worst:
             worst, worst_pair = cmi, (a, b)
-    return IndependenceVerdict(worst <= tol.cmi, worst_pair, worst, tol.cmi)
+    return IndependenceVerdict(worst <= TOL_CMI, worst_pair, worst, TOL_CMI)
 
 
 @dataclass(frozen=True)
@@ -364,8 +347,6 @@ class TheoremWitness:
 def verify_equivalence(rho: DensityMatrix, system: str,
                        subenvironments: Sequence[str] | None = None,
                        opt: OptimizerConfig = DEFAULT_OPT,
-                       tol: VerdictTolerances = DEFAULT_VERDICT_TOL,
-                       state_tol: Tolerances = DEFAULT_TOL,
                        optimize_acc_lower: bool = False) -> TheoremWitness:
     """Run all three detectors and flag any inconsistency with the equivalence.
 
@@ -374,49 +355,45 @@ def verify_equivalence(rho: DensityMatrix, system: str,
     Verdicts whose deciding diagnostics sit within a factor of the tolerance,
     or whose pointer basis is ambiguous, are flagged borderline.
     """
-    ens = pointer_ensemble(rho, system, _fragment(rho, subenvironments), tol=state_tol)
+    ens = pointer_ensemble(rho, system, _fragment(rho, subenvironments))
     subfrags = [[l] for l in ens.fragment] if len(ens.fragment) > 1 else None
-    sqd = _strong_darwinism(ens, subfrags, opt, tol, state_tol, optimize_acc_lower)
-    independence = _independence(ens.joint, system, ens.fragment, tol)
-    sbs = _broadcast_structure(ens, independence, tol, state_tol)
+    sqd = _strong_darwinism(ens, subfrags, opt, optimize_acc_lower)
+    independence = _independence(ens.joint, system, ens.fragment)
+    sbs = _broadcast_structure(ens, independence)
     si_holds = independence.holds if independence is not None else True
     consistent = sbs.holds == (sqd.holds and si_holds)
 
     reasons: list[str] = []
-    factor = tol.borderline_factor
     for gap in sqd.deciding_diagnostics():
-        if _in_borderline_band(gap, tol.equality, factor):
+        if _in_borderline_band(gap, sqd.tolerance):
             reasons.append(f"strong-darwinism equality gap {gap:.3e}")
             break
-    for diag, t in sbs.deciding_diagnostics(tol):
-        if _in_borderline_band(diag, t, factor):
+    for diag, t in sbs.deciding_diagnostics():
+        if _in_borderline_band(diag, t):
             reasons.append(f"broadcast-structure diagnostic {diag:.3e} near {t:.1e}")
             break
-    if independence is not None and _in_borderline_band(independence.worst_cmi,
-                                                        tol.cmi, factor):
+    if independence is not None and _in_borderline_band(independence.worst_cmi, TOL_CMI):
         reasons.append(f"conditional mutual information {independence.worst_cmi:.3e}")
     gap = ens.gap
-    if gap < tol.degeneracy_gap * factor:
+    if gap < DEGENERACY_GAP * BORDERLINE_FACTOR:
         reasons.append(f"pointer-basis eigenvalue gap {gap:.3e}")
     return TheoremWitness(sqd, sbs, independence, consistent,
                           bool(reasons), tuple(reasons))
 
 
 def objectivity_deficit(rho: DensityMatrix, system: str,
-                        fragment: Sequence[str] | None = None,
-                        state_tol: Tolerances = DEFAULT_TOL) -> float:
+                        fragment: Sequence[str] | None = None) -> float:
     """Normalized deficit (H(S) - chi + D) / 2H(S), clamped to [0, 1].
 
     Zero exactly on bipartite broadcast-structure states; undefined (raises)
     when the system entropy vanishes.
     """
-    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), tol=state_tol)
-    return _deficit(ens, state_tol)
+    return _deficit(pointer_ensemble(rho, system, _fragment(rho, fragment)))
 
 
-def _deficit(ens: PointerEnsemble, state_tol: Tolerances) -> float:
+def _deficit(ens: PointerEnsemble) -> float:
     h_s = ens.h_s
-    if h_s <= state_tol.prob:
+    if h_s <= TOL_PROB:
         raise DegenerateSystemEntropy(
             f"system entropy {h_s:.3e} is too small for a normalized deficit")
     value = (h_s - ens.holevo + ens.discord) / (2.0 * h_s)
@@ -425,13 +402,11 @@ def _deficit(ens: PointerEnsemble, state_tol: Tolerances) -> float:
 
 def broadcast_distance_bound(rho: DensityMatrix, system: str,
                              fragment: Sequence[str] | None = None,
-                             pointer: ProjectiveMeasurement | None = None,
-                             state_tol: Tolerances = DEFAULT_TOL) -> float:
+                             pointer: ProjectiveMeasurement | None = None) -> float:
     """Computable bound on the trace distance to the broadcast-structure set:
     the full trace norm of (rho - dephased rho) plus the pairwise-fidelity sum
     over ordered branch pairs, at ``pointer`` (default the canonical basis)."""
-    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), pointer, state_tol)
-    return _distance_bound(ens)
+    return _distance_bound(pointer_ensemble(rho, system, _fragment(rho, fragment), pointer))
 
 
 def _distance_bound(ens: PointerEnsemble) -> float:
@@ -530,8 +505,7 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
                opt: OptimizerConfig = DEFAULT_OPT,
                strategy: str | None = None,
                scan_samples: int = 50,
-               seed: int = 0,
-               state_tol: Tolerances = DEFAULT_TOL) -> RedundancyReport:
+               seed: int = 0) -> RedundancyReport:
     """Count disjoint qualifying fragments and scan mean information per fraction.
 
     A fragment qualifies when chi >= (1 - delta) H(S^Pi) - eps_opt, fragments
@@ -551,7 +525,7 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     # the pointer distribution depends on rho_S alone; any fragment gives it
-    first = pointer_ensemble(rho, system, subenvs[:1], tol=state_tol)
+    first = pointer_ensemble(rho, system, subenvs[:1])
     h_pointer = entropy_bits(first.probabilities)
     threshold = (1.0 - delta) * h_pointer - opt.eps_opt
 
@@ -559,7 +533,7 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
 
     def evaluate(frag: tuple[str, ...]) -> tuple[float, float, float]:
         if frag not in cache:
-            ens = pointer_ensemble(rho, system, frag, tol=state_tol)
+            ens = pointer_ensemble(rho, system, frag)
             cache[frag] = (ens.holevo, ens.mutual_information, ens.discord)
         return cache[frag]
 
@@ -647,7 +621,6 @@ class ObjectivityReport:
     m_sqd_undefined_reason: str | None
     eta: float
     acc: AccessibleInfoBounds | None
-    tolerances: VerdictTolerances
     opt: OptimizerConfig
     seed: int | None = None
 
@@ -666,11 +639,11 @@ class ObjectivityReport:
                 "lower_bits": self.acc.lower, "upper_bits": self.acc.upper,
                 "exact": self.acc.exact, "lower_optimized": self.acc.lower_optimized},
             "tolerances": {
-                "offdiag": self.tolerances.offdiag,
-                "overlap": self.tolerances.overlap,
-                "cmi_bits": self.tolerances.cmi,
-                "equality_bits": self.tolerances.equality,
-                "borderline_factor": self.tolerances.borderline_factor,
+                "offdiag": TOL_OFFDIAG,
+                "overlap": TOL_OVERLAP,
+                "cmi_bits": TOL_CMI,
+                "equality_bits": self.opt.eps_opt,
+                "borderline_factor": BORDERLINE_FACTOR,
             },
             "optimizer": {
                 "theta_points": self.opt.theta_points,
@@ -689,20 +662,17 @@ def analyze(rho: DensityMatrix, system: str,
             fragment: Sequence[str] | None = None,
             subfragments: Sequence[Sequence[str]] | None = None,
             opt: OptimizerConfig = DEFAULT_OPT,
-            tol: VerdictTolerances = DEFAULT_VERDICT_TOL,
-            state_tol: Tolerances = DEFAULT_TOL,
             seed: int | None = None) -> ObjectivityReport:
     """Full objectivity report: all measures, verdicts, and diagnostics."""
-    ens = pointer_ensemble(rho, system, _fragment(rho, fragment), tol=state_tol)
-    sqd = _strong_darwinism(ens, subfragments, opt, tol, state_tol,
-                            optimize_acc_lower=True)
-    independence = _independence(ens.joint, system, ens.fragment, tol)
-    sbs = _broadcast_structure(ens, independence, tol, state_tol)
+    ens = pointer_ensemble(rho, system, _fragment(rho, fragment))
+    sqd = _strong_darwinism(ens, subfragments, opt, optimize_acc_lower=True)
+    independence = _independence(ens.joint, system, ens.fragment)
+    sbs = _broadcast_structure(ens, independence)
     try:
-        m_sqd: float | None = _deficit(ens, state_tol)
+        m_sqd: float | None = _deficit(ens)
         reason = None
     except DegenerateSystemEntropy as exc:
         m_sqd, reason = None, str(exc)
     eta = _distance_bound(ens)
     return ObjectivityReport(system, ens.fragment, sqd, sbs, independence,
-                             m_sqd, reason, eta, sqd.acc, tol, opt, seed)
+                             m_sqd, reason, eta, sqd.acc, opt, seed)

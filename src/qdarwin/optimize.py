@@ -15,10 +15,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
+from .core import EPS_OPT
 from .errors import OptimizerDidNotConverge
-
-EPS_OPT = 1e-6
-EPS_NUM = 1e-9
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    TOL_TRACE,
     DensityMatrix,
     PureState,
     SubsystemLayout,
-    Tolerances,
     validate_density_matrix,
     validate_pure_state,
 )
@@ -61,7 +60,7 @@ class SbsSpec:
 
     def __post_init__(self):
         n_branches = len(self.probabilities)
-        if abs(sum(self.probabilities) - 1.0) > 1e-9 or min(self.probabilities) <= 0:
+        if abs(sum(self.probabilities) - 1.0) > TOL_TRACE or min(self.probabilities) <= 0:
             raise InvalidLayout("branch probabilities must be positive and sum to 1")
         if len(self.supports) != n_branches or len(self.spectra) != n_branches:
             raise InvalidLayout("need one support/spectrum row per branch")
@@ -72,7 +71,7 @@ class SbsSpec:
                 spec = self.spectra[i][k]
                 if len(sup) != len(spec) or not sup:
                     raise InvalidLayout("support and spectrum sizes must match and be nonempty")
-                if abs(sum(spec) - 1.0) > 1e-9 or min(spec) < 0:
+                if abs(sum(spec) - 1.0) > TOL_TRACE or min(spec) < 0:
                     raise InvalidLayout("each conditional spectrum must be a distribution")
                 if any(j < 0 or j >= dim for j in sup):
                     raise DimensionTooSmall(
@@ -94,7 +93,7 @@ class SbsSpec:
         )
 
 
-def make_broadcast_state(spec: SbsSpec, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def make_broadcast_state(spec: SbsSpec) -> DensityMatrix:
     """Assemble sum_i p_i |i><i| (x) rho_i^E1 (x) ... from a spec."""
     n_branches = len(spec.probabilities)
     layout = std_layout(n_branches, spec.subenv_dims)
@@ -108,7 +107,7 @@ def make_broadcast_state(spec: SbsSpec, tol: Tolerances = DEFAULT_TOL) -> Densit
                 cond[j, j] = w
             branch = np.kron(branch, cond)
         out += p * branch
-    return validate_density_matrix(out, layout, tol)
+    return validate_density_matrix(out, layout)
 
 
 def _simplex_sample(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -118,8 +117,7 @@ def _simplex_sample(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def make_random_broadcast_state(seed: int, n_branches: int, n_subenvs: int,
-                                max_dim: int,
-                                tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+                                max_dim: int) -> DensityMatrix:
     """Seeded random broadcast-structure state; supports assigned greedily by
     index, spectra drawn from flat simplices, conditionals rotated within their
     own support subspaces (which preserves the structure)."""
@@ -146,7 +144,7 @@ def make_random_broadcast_state(seed: int, n_branches: int, n_subenvs: int,
         spectra.append(tuple(spec_row))
     spec = SbsSpec(tuple(float(p) for p in probs), tuple(dims),
                    tuple(supports), tuple(spectra))
-    rho = make_broadcast_state(spec, tol)
+    rho = make_broadcast_state(spec)
     # rotate each conditional inside its support subspace
     layout = rho.layout
     matrix = rho.matrix.copy()
@@ -160,10 +158,10 @@ def make_random_broadcast_state(seed: int, n_branches: int, n_subenvs: int,
         for lab, d in zip(layout.labels, layout.dims):
             full = np.kron(full, u if lab == f"E{k + 1}" else np.eye(d, dtype=complex))
         matrix = full @ matrix @ full.conj().T
-    return validate_density_matrix(matrix, layout, tol)
+    return validate_density_matrix(matrix, layout)
 
 
-def make_ghz_reduced(n_subenvs: int, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def make_ghz_reduced(n_subenvs: int) -> DensityMatrix:
     """Even mixture of the all-zero and all-one projectors on 1 + N qubits."""
     if n_subenvs < 1:
         raise DimensionTooSmall("need at least one subenvironment")
@@ -172,10 +170,10 @@ def make_ghz_reduced(n_subenvs: int, tol: Tolerances = DEFAULT_TOL) -> DensityMa
     out = np.zeros((total, total), dtype=complex)
     out[0, 0] = 0.5
     out[total - 1, total - 1] = 0.5
-    return validate_density_matrix(out, layout, tol)
+    return validate_density_matrix(out, layout)
 
 
-def make_horodecki(p: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def make_horodecki(p: float) -> DensityMatrix:
     """Two-qubit mixture p P(a|00> + b|11>) + (1-p) P(a|10> + b|01>) with
     a = sqrt(p), b = sqrt(1-p): traditional Darwinism holds, yet the fragment
     carries almost none of it as pointer-basis classical information."""
@@ -187,7 +185,7 @@ def make_horodecki(p: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     psi2 = np.zeros(4, dtype=complex)
     psi2[2], psi2[1] = a, b
     rho = p * np.outer(psi1, psi1.conj()) + (1.0 - p) * np.outer(psi2, psi2.conj())
-    return validate_density_matrix(rho, std_layout(2, [2]), tol)
+    return validate_density_matrix(rho, std_layout(2, [2]))
 
 
 def horodecki_p_tilde(p: float) -> float:
@@ -202,8 +200,7 @@ def horodecki_holevo_closed_form(p: float) -> float:
             - (1.0 - pt))
 
 
-def make_correlated_branches(n_subenvs: int, p1: float = 0.5,
-                             tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def make_correlated_branches(n_subenvs: int, p1: float = 0.5) -> DensityMatrix:
     """Qubit system with dim-4 subenvironments whose branch states are perfectly
     correlated classical mixtures: every reduced system-subenvironment pair has
     broadcast structure, the joint state does not."""
@@ -220,11 +217,10 @@ def make_correlated_branches(n_subenvs: int, p1: float = 0.5,
             for _ in range(n_subenvs):
                 ket = np.kron(ket, _basis_ket(4, j))
             out += (p / 2.0) * np.outer(ket, ket.conj())
-    return validate_density_matrix(out, layout, tol)
+    return validate_density_matrix(out, layout)
 
 
-def make_entangled_branches(n_subenvs: int, p1: float = 0.5,
-                            tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def make_entangled_branches(n_subenvs: int, p1: float = 0.5) -> DensityMatrix:
     """Like :func:`make_correlated_branches` but each branch is a pure entangled
     superposition across the subenvironments."""
     if n_subenvs < 2:
@@ -242,11 +238,10 @@ def make_entangled_branches(n_subenvs: int, p1: float = 0.5,
             branch += ket
         branch /= np.linalg.norm(branch)
         out += p * np.outer(branch, branch.conj())
-    return validate_density_matrix(out, layout, tol)
+    return validate_density_matrix(out, layout)
 
 
-def make_haar_pure(seed: int, layout: SubsystemLayout,
-                   tol: Tolerances = DEFAULT_TOL) -> PureState:
+def make_haar_pure(seed: int, layout: SubsystemLayout) -> PureState:
     """Haar-random pure state: seeded Ginibre matrix, orthonormalized columns
     with the triangular factor's diagonal made real-positive, applied to the
     first basis vector."""
@@ -255,12 +250,11 @@ def make_haar_pure(seed: int, layout: SubsystemLayout,
         raise DimensionTooLarge(f"total dimension {dim} exceeds {MAX_HAAR_DIM}")
     rng = np.random.default_rng(seed)
     u = haar_random_unitary(rng, dim)
-    return validate_pure_state(u[:, 0], layout, tol)
+    return validate_pure_state(u[:, 0], layout)
 
 
 def make_cq_state(seed: int, p_list: Sequence[float], conditional_overlap: float,
-                  n_subenvs: int = 1,
-                  tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+                  n_subenvs: int = 1) -> DensityMatrix:
     """Classical-quantum state with pure conditionals of controlled overlap.
 
     Neighboring conditionals have fidelity ``conditional_overlap`` exactly: two
@@ -274,7 +268,7 @@ def make_cq_state(seed: int, p_list: Sequence[float], conditional_overlap: float
     if not 0.0 <= conditional_overlap <= 1.0:
         raise InvalidLayout(f"overlap must lie in [0, 1], got {conditional_overlap}")
     probs = [float(p) for p in p_list]
-    if abs(sum(probs) - 1.0) > 1e-9 or min(probs) <= 0:
+    if abs(sum(probs) - 1.0) > TOL_TRACE or min(probs) <= 0:
         raise InvalidLayout("p_list must be positive and sum to 1")
     k = len(probs)
     if k < 2:
@@ -300,11 +294,11 @@ def make_cq_state(seed: int, p_list: Sequence[float], conditional_overlap: float
         for u in u_frag:
             vec = np.kron(vec, u @ kets[i])
         out += p * np.outer(vec, vec.conj())
-    return validate_density_matrix(out, layout, tol)
+    return validate_density_matrix(out, layout)
 
 
-def make_random_density(seed: int, layout: SubsystemLayout, rank: int | None = None,
-                        tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def make_random_density(seed: int, layout: SubsystemLayout,
+                        rank: int | None = None) -> DensityMatrix:
     """Seeded random density matrix from a complex Ginibre factor G G^dagger."""
     dim = layout.total_dim
     rank = dim if rank is None else max(1, min(rank, dim))
@@ -312,11 +306,10 @@ def make_random_density(seed: int, layout: SubsystemLayout, rank: int | None = N
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     rho /= rho.trace().real
-    return validate_density_matrix(rho, layout, tol)
+    return validate_density_matrix(rho, layout)
 
 
-def perturb_state(rho: DensityMatrix, strength: float, seed: int,
-                  tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def perturb_state(rho: DensityMatrix, strength: float, seed: int) -> DensityMatrix:
     """Add seeded Hermitian noise of the given Frobenius strength, then project
     back onto valid states (clip negative eigenvalues, renormalize)."""
     rng = np.random.default_rng(seed)
@@ -328,16 +321,19 @@ def perturb_state(rho: DensityMatrix, strength: float, seed: int,
     w, v = np.linalg.eigh(noisy)
     w = np.clip(w, 0.0, None)
     w /= w.sum()
-    return validate_density_matrix((v * w) @ v.conj().T, rho.layout, tol)
+    return validate_density_matrix((v * w) @ v.conj().T, rho.layout)
 
 
 FAMILIES = ("sbs", "perturbed-sbs", "cq", "haar")
 
 
 def make_theorem_case(seed: int, index: int, dims_cap: int = 32,
-                      perturbation: float = 1e-2,
-                      tol: Tolerances = DEFAULT_TOL) -> tuple[str, DensityMatrix]:
-    """Deterministic case ``index`` of the theorem-verification family mix."""
+                      perturbation: float = 1e-2) -> tuple[str, DensityMatrix]:
+    """Deterministic case ``index`` of the theorem-verification family mix.
+
+    Raises :class:`DimensionTooSmall` when a broadcast case with one
+    subenvironment still exceeds ``dims_cap``.
+    """
     family = FAMILIES[index % len(FAMILIES)]
     rng = np.random.default_rng([seed, index])
     sub_seed = int(rng.integers(0, 2 ** 31))
@@ -347,30 +343,32 @@ def make_theorem_case(seed: int, index: int, dims_cap: int = 32,
         max_dim = n_branches
         while n_branches * (max_dim + 1) ** n_subenvs <= dims_cap and max_dim < 4:
             max_dim += 1
-        rho = make_random_broadcast_state(sub_seed, n_branches, n_subenvs, max_dim, tol)
+        rho = make_random_broadcast_state(sub_seed, n_branches, n_subenvs, max_dim)
         while rho.dim > dims_cap:
+            if n_subenvs == 1:
+                raise DimensionTooSmall(
+                    f"dims cap {dims_cap} is below the dimension {rho.dim} of a "
+                    f"{n_branches}-branch broadcast state with one subenvironment")
             n_subenvs -= 1
-            rho = make_random_broadcast_state(sub_seed, n_branches, max(1, n_subenvs),
-                                              max_dim, tol)
+            rho = make_random_broadcast_state(sub_seed, n_branches, n_subenvs, max_dim)
         if family == "perturbed-sbs":
-            rho = perturb_state(rho, perturbation, sub_seed + 1, tol)
+            rho = perturb_state(rho, perturbation, sub_seed + 1)
         return family, rho
     if family == "cq":
         p1 = float(rng.uniform(0.2, 0.45))
         overlap = float(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]))
         n_subenvs = int(rng.integers(1, 3))
-        return family, make_cq_state(sub_seed, [p1, 1.0 - p1], overlap, n_subenvs, tol)
+        return family, make_cq_state(sub_seed, [p1, 1.0 - p1], overlap, n_subenvs)
     env_options = ([2], [2, 2], [2, 2, 2], [2, 2, 2, 2], [4, 2], [4])
     env = list(env_options[int(rng.integers(0, len(env_options)))])
     layout = std_layout(2, env)
-    psi = make_haar_pure(sub_seed, layout, tol)
+    psi = make_haar_pure(sub_seed, layout)
     return family, psi.to_density()
 
 
 def theorem_suite(seed: int, n_cases: int, dims_cap: int = 32,
-                  perturbation: float = 1e-2,
-                  tol: Tolerances = DEFAULT_TOL) -> Iterator[tuple[int, str, DensityMatrix]]:
+                  perturbation: float = 1e-2) -> Iterator[tuple[int, str, DensityMatrix]]:
     """Yield (index, family, state) for the randomized equivalence batch."""
     for index in range(n_cases):
-        family, rho = make_theorem_case(seed, index, dims_cap, perturbation, tol)
+        family, rho = make_theorem_case(seed, index, dims_cap, perturbation)
         yield index, family, rho

@@ -31,7 +31,29 @@ MALFORMED = {
     "number-layout-entries": lambda p: _set(p, ["layout"], [1, 2]),
     "number-matrix": lambda p: _set(p, ["matrix"], 5),
     "top-level-list": lambda p: [p],
+    "fractional-dim": lambda p: _set(p, ["layout", 0, "dim"], 2.9),
+    "string-dim": lambda p: _set(p, ["layout", 0, "dim"], "2"),
 }
+
+# each command names a flag its subcommand does not take
+UNTAKEN_FLAGS = {
+    "make-tol-opt": ["make", "ghz", "--n", "2", "--tol-opt", "1e-6"],
+    "make-restarts": ["make", "ghz", "--n", "2", "--restarts", "3"],
+    "make-format": ["make", "ghz", "--n", "2", "--format", "json"],
+    "scan-grid": ["scan", "x.json", "--delta", "0.1", "--grid", "8x8"],
+    "scan-restarts": ["scan", "x.json", "--delta", "0.1", "--restarts", "3"],
+    "verify-theorem-max-refine-iter": ["verify-theorem", "--max-refine-iter", "5"],
+    "verify-theorem-format": ["verify-theorem", "--format", "csv"],
+    "appendix-c-seed": ["appendix-c", "--seed", "1"],
+    "appendix-c-grid": ["appendix-c", "--grid", "8x8"],
+}
+
+
+@pytest.mark.parametrize("command", list(UNTAKEN_FLAGS.values()), ids=list(UNTAKEN_FLAGS))
+def test_untaken_flag_exits_2(command):
+    with pytest.raises(SystemExit) as exc:
+        run(command)
+    assert exc.value.code == 2
 
 
 class TestMake:
@@ -96,6 +118,20 @@ class TestMake:
     def test_missing_seed_exits_2(self, tmp_path):
         assert run(["make", "haar", "--dims", "2,2",
                     "-o", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["haar", "--dims", "2,x", "--seed", "1"],
+        ["cq", "--probs", "0.3,abc", "--overlap", "0.2", "--seed", "1"],
+        ["sbs", "--spec", "absent.json"],
+        ["sbs", "--spec", "no-spectra.json"],
+    ], ids=["dims", "probs", "missing-spec", "spec-without-spectra"])
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no-spectra.json").write_text(json.dumps(
+            {"probabilities": [0.5, 0.5], "subenv_dims": [2],
+             "supports": [[[0]], [[1]]]}))
+        assert run(["make", *args, "-o", str(tmp_path / "x.json")]) == 2
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestAnalyze:
@@ -247,6 +283,20 @@ class TestVerifyTheorem:
         payload = json.loads(rep.read_text())
         assert payload["summary"]["borderline"] > 0
         assert payload["summary"]["fail"] == 0
+
+    def test_tol_opt_sets_strong_darwinism_tolerance(self, tmp_path):
+        rep = tmp_path / "thm.json"
+        run(["verify-theorem", "--cases", "8", "--seed", "3", "--perturbation", "1e-3",
+             "--tol-opt", "0.5", "--report", str(rep)])
+        cases = json.loads(rep.read_text())["cases"]
+        assert [c["strong_darwinism"]["tolerance_bits"] for c in cases] == [0.5] * 8
+
+    @pytest.mark.parametrize("cap", ["1", "8"])
+    def test_dims_cap_below_nine_exits_2(self, tmp_path, cap):
+        rep = tmp_path / "thm.json"
+        assert run(["verify-theorem", "--cases", "40", "--seed", "3",
+                    "--dims-cap", cap, "--report", str(rep)]) == 2
+        assert not rep.exists()
 
 
 class TestAppendixC:

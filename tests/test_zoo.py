@@ -248,3 +248,9 @@ class TestPerturbAndSuite:
             seen.add(family)
             assert rho.dim <= 32
         assert seen == {"sbs", "perturbed-sbs", "cq", "haar"}
+
+    @pytest.mark.parametrize("cap", [1, 8])
+    def test_cap_below_smallest_broadcast_case_raises(self, cap):
+        # a 3-branch broadcast state has dim >= 9 and a 2-branch one dim >= 4
+        with pytest.raises(errors.DimensionTooSmall):
+            list(qd.zoo.theorem_suite(1, 40, dims_cap=cap))

@@ -58,11 +58,8 @@ def _optimizer_config(args) -> OptimizerConfig:
             raise UsageError(f"--grid must look like 64x32, got {args.grid!r}")
         if theta < 2 or phi < 2:
             raise UsageError("--grid densities must be at least 2")
-    return OptimizerConfig(theta_points=theta, phi_points=phi,
-                           restarts=args.restarts,
-                           max_refine_iter=args.max_refine_iter,
-                           seed=args.seed if args.seed is not None else 0,
-                           eps_opt=args.tol_opt)
+    return OptimizerConfig(theta, phi, restarts=args.restarts, seed=args.seed or 0,
+                           max_refine_iter=args.max_refine_iter, eps_opt=args.tol_opt)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--grid", default=None, metavar="TxP",
                       help="Bloch grid densities, e.g. 64x32")
     p_an.add_argument("--max-refine-iter", type=int, default=DEFAULT_OPT.max_refine_iter,
-                      help="iteration cap for simplex refinement")
+                      help="iteration cap for the gradient ascent of every restart")
     p_an.add_argument("--format", choices=("json", "csv"), default="json",
                       help="output format")
     _common_flags(p_an)

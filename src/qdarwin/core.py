@@ -41,6 +41,7 @@ HERM_EXACT = 1e-12     # trace norm takes the Hermitian eigenvalue path within t
 TAU_COMM = 1e-9        # Frobenius norm of [rho_i, rho_j] below which conditionals commute
 EPS_NUM = 1e-9         # negative chi or CMI from rounding clamps to 0; appendix-c --tol-num
 EPS_OPT = 1e-6         # optimizer restart gap and strong-Darwinism equality, bits (--tol-opt)
+GRAD_FLOOR = 1e-7      # norm of the Riemannian gradient at which an optimizer restart stops
 TOL_OFFDIAG = 1e-8     # broadcast structure: norm of an off-diagonal pointer block
 TOL_OVERLAP = 1e-8     # broadcast structure: overlap tr(rho_i rho_j) of two conditionals
 TOL_CMI = 1e-8         # strong independence: I(E_j:E_k|S), bits

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -637,7 +637,9 @@ class ObjectivityReport:
             "eta": self.eta,
             "accessible_information": None if self.acc is None else {
                 "lower_bits": self.acc.lower, "upper_bits": self.acc.upper,
-                "exact": self.acc.exact, "lower_optimized": self.acc.lower_optimized},
+                "exact": self.acc.exact, "lower_optimized": self.acc.lower_optimized,
+                "restarts": self.acc.restarts, "iterations": self.acc.iterations,
+                "gap_bits": self.acc.gap},
             "tolerances": {
                 "offdiag": TOL_OFFDIAG,
                 "overlap": TOL_OVERLAP,
@@ -645,15 +647,8 @@ class ObjectivityReport:
                 "equality_bits": self.opt.eps_opt,
                 "borderline_factor": BORDERLINE_FACTOR,
             },
-            "optimizer": {
-                "theta_points": self.opt.theta_points,
-                "phi_points": self.opt.phi_points,
-                "refine_starts": self.opt.refine_starts,
-                "restarts": self.opt.restarts,
-                "max_refine_iter": self.opt.max_refine_iter,
-                "seed": self.opt.seed,
-                "eps_opt": self.opt.eps_opt,
-            },
+            "optimizer": {k: v for k, v in asdict(self.opt).items()
+                          if k != "strict_convergence"},
             "seed": self.seed,
         }
 

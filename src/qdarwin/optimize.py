@@ -1,10 +1,15 @@
-"""Derivative-free search over rank-1 projective measurement bases.
+"""Riemannian steepest ascent over measurement bases (columns = kets) on U(d).
 
-Qubit subsystems use a Bloch-angle grid followed by Nelder-Mead refinement
-from the best grid points; larger subsystems parameterize the basis unitary
-by d^2 real generator entries and refine from seeded random starts.
-Results are deterministic for a fixed config: restarts are reduced in index
-order, so the outcome does not depend on evaluation order.
+All R restarts advance together as one (R, d, d) stack, with one objective
+call (values and gradients G = dF/d(conj U)) per iteration.  A step follows
+A = G U^dagger - U G^dagger, whose squared norm is the slope of F along
+exp(tA) U, through the Cayley retraction (1 - tA/2)^-1 (1 + tA/2) U (Abrudan,
+Eriksson & Koivunen, IEEE TSP 56, 1134 (2008)).  Each restart alternates the
+two Barzilai-Borwein steps, halving one until F beats the lowest of the
+restart's last ``MEMORY`` values by the Armijo margin (a nonmonotone rule),
+and stops at |A| < ``GRAD_FLOOR``, at a step too small to change F, or after
+``max_refine_iter`` iterations.  Qubits start from the best points of a
+Bloch-angle grid, larger dimensions from the identity and seeded Haar unitaries.
 """
 
 from __future__ import annotations
@@ -13,10 +18,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core import EPS_OPT
+from .core import EPS_OPT, GRAD_FLOOR
 from .errors import OptimizerDidNotConverge
+
+ARMIJO = 1e-4   # share of the first-order gain a step must realize
+MEMORY = 10     # a step must beat the lowest of a restart's last MEMORY values
 
 
 @dataclass(frozen=True)
@@ -42,30 +49,18 @@ class OptimizationResult:
     basis: np.ndarray
     restarts: int
     gap: float
+    iterations: int = 0
 
 
-def qubit_basis(theta: float, phi: float) -> np.ndarray:
-    """Orthonormal qubit basis (columns) from Bloch angles."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    return np.array([[c, s], [s * e, -c * e]], dtype=complex)
+def qubit_basis(theta, phi) -> np.ndarray:
+    """Orthonormal qubit basis (columns) from Bloch angles; arrays give a stack."""
+    c, s = np.cos(np.divide(theta, 2.0)), np.sin(np.divide(theta, 2.0))
+    e = np.exp(1j * np.asarray(phi))
+    return np.stack([np.stack([c + 0j, s + 0j], -1), np.stack([s * e, -c * e], -1)], -2)
 
 
-def unitary_from_params(x: np.ndarray, dim: int) -> np.ndarray:
-    """Unitary from d^2 real parameters via the exponential of i * Hermitian(x),
-    computed spectrally (eigh is much cheaper than a Pade exponential here)."""
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.diag_indices(dim)] = x[:dim]
-    iu = np.triu_indices(dim, 1)
-    m = dim * (dim - 1) // 2
-    h[iu] = x[dim:dim + m] + 1j * x[dim + m:dim + 2 * m]
-    h = h + np.triu(h, 1).conj().T
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def _finish(candidates: list[tuple[float, np.ndarray]], config: OptimizerConfig
-            ) -> OptimizationResult:
+def _finish(candidates: list[tuple[float, np.ndarray]], config: OptimizerConfig,
+            iterations: int = 0) -> OptimizationResult:
     values = np.array([v for v, _ in candidates])
     order = np.argsort(-values, kind="stable")
     best = int(order[0])
@@ -73,70 +68,71 @@ def _finish(candidates: list[tuple[float, np.ndarray]], config: OptimizerConfig
     if config.strict_convergence and gap > config.eps_opt:
         raise OptimizerDidNotConverge(gap, config.eps_opt)
     return OptimizationResult(float(values[best]), candidates[best][1],
-                              len(candidates), gap)
+                              len(candidates), gap, iterations)
 
 
-def _refine_qubit(objective, start: tuple[float, float], config) -> tuple[float, np.ndarray]:
-    res = minimize(lambda x: -objective(qubit_basis(x[0], x[1])), np.asarray(start),
-                   method="Nelder-Mead",
-                   options={"maxiter": config.max_refine_iter,
-                            "xatol": 1e-9, "fatol": 1e-12})
-    return -float(res.fun), qubit_basis(res.x[0], res.x[1])
-
-
-def _maximize_qubit(objective, config: OptimizerConfig,
-                    batch_objective=None) -> OptimizationResult:
-    thetas = np.linspace(0.0, np.pi, config.theta_points)
-    phis = np.linspace(0.0, 2.0 * np.pi, config.phi_points, endpoint=False)
-    angles = [(float(t), float(p)) for t in thetas for p in phis]
-    if batch_objective is not None:
-        bases = np.stack([qubit_basis(t, p) for t, p in angles])
-        values = np.asarray(batch_objective(bases), dtype=float)
-        grid = list(zip(values.tolist(), angles))
-    else:
-        grid = [(float(objective(qubit_basis(t, p))), (t, p)) for t, p in angles]
-    grid.sort(key=lambda item: -item[0])
-    starts = [ang for _, ang in grid[:max(1, config.refine_starts)]]
-    candidates = [_refine_qubit(objective, s, config) for s in starts]
-    return _finish(candidates, config)
-
-
-def _maximize_general(objective, dim: int, config: OptimizerConfig) -> OptimizationResult:
-    rng = np.random.default_rng(config.seed)
-    n_params = dim * dim
-    starts = [np.zeros(n_params)]
-    starts += [rng.normal(scale=1.0, size=n_params)
-               for _ in range(max(0, config.restarts - 1))]
-    neg = lambda x: -objective(unitary_from_params(x, dim))
-    explored = []
-    for x0 in starts:
-        res = minimize(neg, x0, method="Nelder-Mead",
-                       options={"maxiter": 25 * n_params,
-                                "xatol": 1e-6, "fatol": 1e-9})
-        explored.append((-float(res.fun), res.x))
-    explored.sort(key=lambda item: -item[0])
-    polish = {"maxiter": config.max_refine_iter * n_params,
-              "xatol": 1e-10, "fatol": 1e-13}
-    candidates = []
-    for _, x0 in explored[:max(2, config.refine_starts)]:
-        res = minimize(neg, x0, method="Nelder-Mead", options=polish)
-        # restarting from the result re-inflates the simplex and polishes
-        res = minimize(neg, res.x, method="Nelder-Mead", options=polish)
-        candidates.append((-float(res.fun), unitary_from_params(res.x, dim)))
-    return _finish(candidates, config)
-
-
-def maximize_over_bases(objective: Callable[[np.ndarray], float], dim: int,
-                        config: OptimizerConfig = DEFAULT_OPT,
-                        batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
-                        ) -> OptimizationResult:
-    """Maximize ``objective(basis)`` over orthonormal bases (columns = kets).
-
-    ``batch_objective``, when given, evaluates a whole (G, d, d) stack of
-    bases at once; the qubit grid stage uses it to avoid a Python-level loop.
-    Raises :class:`OptimizerDidNotConverge` when the two best restarts differ
-    by more than ``config.eps_opt`` and strict convergence is enabled.
-    """
+def _starts(objective, dim: int, config: OptimizerConfig) -> np.ndarray:
     if dim == 2:
-        return _maximize_qubit(objective, config, batch_objective)
-    return _maximize_general(objective, dim, config)
+        thetas = np.linspace(0.0, np.pi, config.theta_points)
+        phis = np.linspace(0.0, 2.0 * np.pi, config.phi_points, endpoint=False)
+        grid = qubit_basis(*(a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij")))
+        best = np.argsort(-objective(grid)[0], kind="stable")
+        return grid[best[:max(1, config.refine_starts)]]
+    rng = np.random.default_rng(config.seed)
+    shape = (max(0, config.restarts - 1), dim, dim)
+    q, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return np.concatenate([np.eye(dim)[None], q * (phases / np.abs(phases))[:, None, :]])
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # Re tr(a^dagger b), pairwise
+    return np.einsum("rij,rij->r", a.conj(), b).real
+
+
+def _direction(grads: np.ndarray, bases: np.ndarray) -> np.ndarray:  # G U^dagger - U G^dagger
+    x = grads @ bases.conj().transpose(0, 2, 1)
+    return x - x.conj().transpose(0, 2, 1)
+
+
+def _ascend(objective, bases: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+    values, grads = objective(bases)
+    a = _direction(grads, bases)
+    slope, step, eye = _inner(a, a), np.ones(len(bases)), np.eye(bases.shape[1])
+    recent = np.tile(values, (MEMORY, 1))
+    for iterations in range(max_iter + 1):
+        # a gain below the rounding of F cannot pass the Armijo test
+        live = (slope > GRAD_FLOOR ** 2) & (step * slope > np.spacing(np.abs(values) + 1.0))
+        if iterations == max_iter or not live.any():
+            break
+        idx = np.flatnonzero(live)
+        half = 0.5 * step[idx, None, None] * a[idx]
+        trial = np.linalg.solve(eye - half, (eye + half) @ bases[idx])
+        trial_values, trial_grads = objective(trial)
+        ok = trial_values >= recent[:, idx].min(axis=0) + ARMIJO * step[idx] * slope[idx]
+        step[idx[~ok]] *= 0.5
+        moved = idx[ok]
+        a_new = _direction(trial_grads[ok], trial[ok])
+        s, y = step[moved, None, None] * a[moved], a_new - a[moved]
+        curve = -_inner(s, y)
+        # Barzilai-Borwein steps, <s, s> / <s, -y> and <s, -y> / <y, y> in turn;
+        # doubled where F did not curve down
+        num, den = (_inner(s, s), curve) if iterations % 2 == 0 else (curve, _inner(y, y))
+        step[moved] = np.where(curve > 0, num / np.where(curve > 0, den, 1.0), 2 * step[moved])
+        bases[moved], values[moved], a[moved] = trial[ok], trial_values[ok], a_new
+        slope[moved] = _inner(a_new, a_new)
+        recent[iterations % MEMORY] = values
+    return values, bases, iterations
+
+
+def maximize_over_bases(objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                        dim: int, config: OptimizerConfig = DEFAULT_OPT) -> OptimizationResult:
+    """Maximize a function of orthonormal bases (columns = kets).
+
+    ``objective`` maps a (R, d, d) stack of bases to their values, shape (R,),
+    and gradients dF/d(conj U), shape (R, d, d).  Deterministic for a fixed
+    config; raises :class:`OptimizerDidNotConverge` when the two best restarts
+    differ by more than ``config.eps_opt`` and strict convergence is enabled.
+    """
+    values, bases, iterations = _ascend(objective, _starts(objective, dim, config),
+                                        config.max_refine_iter)
+    return _finish(list(zip(values.tolist(), bases)), config, iterations)

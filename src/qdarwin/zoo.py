@@ -83,11 +83,13 @@ class SbsSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SbsSpec":
+        dims, sups = payload["subenv_dims"], payload["supports"]
+        if any(type(j) is not int for j in [*dims, *(j for r in sups for s in r for j in s)]):
+            raise InvalidLayout("subenv_dims and support indices must be JSON integers")
         return cls(
             tuple(float(p) for p in payload["probabilities"]),
-            tuple(int(d) for d in payload["subenv_dims"]),
-            tuple(tuple(tuple(int(j) for j in sup) for sup in row)
-                  for row in payload["supports"]),
+            tuple(dims),
+            tuple(tuple(tuple(sup) for sup in row) for row in sups),
             tuple(tuple(tuple(float(x) for x in spec) for spec in row)
                   for row in payload["spectra"]),
         )
@@ -331,9 +333,12 @@ def make_theorem_case(seed: int, index: int, dims_cap: int = 32,
                       perturbation: float = 1e-2) -> tuple[str, DensityMatrix]:
     """Deterministic case ``index`` of the theorem-verification family mix.
 
-    Raises :class:`DimensionTooSmall` when a broadcast case with one
-    subenvironment still exceeds ``dims_cap``.
+    Every case fits ``dims_cap``: broadcast and cq cases drop subenvironments,
+    and haar cases draw only from the environments that fit.  Raises
+    :class:`DimensionTooSmall` when a family's smallest case does not fit.
     """
+    if dims_cap < 4:
+        raise DimensionTooSmall(f"dims cap {dims_cap} is below 4, the smallest case dimension")
     family = FAMILIES[index % len(FAMILIES)]
     rng = np.random.default_rng([seed, index])
     sub_seed = int(rng.integers(0, 2 ** 31))
@@ -357,9 +362,11 @@ def make_theorem_case(seed: int, index: int, dims_cap: int = 32,
     if family == "cq":
         p1 = float(rng.uniform(0.2, 0.45))
         overlap = float(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]))
-        n_subenvs = int(rng.integers(1, 3))
+        # two branches on n qubit subenvironments: dimension 2^(n + 1)
+        n_subenvs = min(int(rng.integers(1, 3)), dims_cap.bit_length() - 2)
         return family, make_cq_state(sub_seed, [p1, 1.0 - p1], overlap, n_subenvs)
-    env_options = ([2], [2, 2], [2, 2, 2], [2, 2, 2, 2], [4, 2], [4])
+    env_options = [env for env in ([2], [2, 2], [2, 2, 2], [2, 2, 2, 2], [4, 2], [4])
+                   if 2 * math.prod(env) <= dims_cap]
     env = list(env_options[int(rng.integers(0, len(env_options)))])
     layout = std_layout(2, env)
     psi = make_haar_pure(sub_seed, layout)

@@ -124,12 +124,23 @@ class TestMake:
         ["cq", "--probs", "0.3,abc", "--overlap", "0.2", "--seed", "1"],
         ["sbs", "--spec", "absent.json"],
         ["sbs", "--spec", "no-spectra.json"],
-    ], ids=["dims", "probs", "missing-spec", "spec-without-spectra"])
+        ["sbs", "--spec", "fractional-dim.json"],
+        ["sbs", "--spec", "fractional-index.json"],
+        ["sbs", "--spec", "string-dim.json"],
+        ["sbs", "--spec", "bool-index.json"],
+    ], ids=["dims", "probs", "missing-spec", "spec-without-spectra", "spec-fractional-dim",
+            "spec-fractional-index", "spec-string-dim", "spec-bool-index"])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-spectra.json").write_text(json.dumps(
             {"probabilities": [0.5, 0.5], "subenv_dims": [2],
              "supports": [[[0]], [[1]]]}))
+        # a valid spec apart from one entry; int() would truncate 2.9 and 1.7
+        for name, dims, index in [("fractional-dim", 2.9, 1), ("fractional-index", 2, 1.7),
+                                  ("string-dim", "2", 1), ("bool-index", 2, True)]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"probabilities": [0.5, 0.5], "subenv_dims": [dims],
+                 "supports": [[[0]], [[index]]], "spectra": [[[1.0]], [[1.0]]]}))
         assert run(["make", *args, "-o", str(tmp_path / "x.json")]) == 2
         assert not (tmp_path / "x.json").exists()
 

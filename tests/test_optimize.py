@@ -1,24 +1,49 @@
 import numpy as np
 import pytest
 
+import oracles
+import qdarwin as qd
 from qdarwin import errors
+from qdarwin.measures import _classical_mi
 from qdarwin.optimize import (
     OptimizerConfig,
+    _direction,
     _finish,
+    _inner,
     maximize_over_bases,
     qubit_basis,
-    unitary_from_params,
 )
+from qdarwin.zoo import haar_random_unitary
 
 
 def alignment_objective(target: np.ndarray):
-    """Maximized (value 1) exactly when some basis ket matches ``target``."""
+    """sum_a |<target|u_a>|^4 and its gradient: 1 exactly when some basis ket
+    matches ``target`` up to a phase, and smooth everywhere."""
 
-    def objective(basis: np.ndarray) -> float:
-        overlaps = np.abs(target.conj() @ basis) ** 2
-        return float(np.max(overlaps))
+    def objective(bases: np.ndarray):
+        overlaps = np.einsum("j,rja->ra", target.conj(), bases)
+        weights = np.abs(overlaps) ** 2
+        grads = 2.0 * (weights * overlaps)[:, None, :] * target[None, :, None]
+        return (weights ** 2).sum(axis=1), grads
 
     return objective
+
+
+def random_skew(rng, dim):
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return x - x.conj().T
+
+
+def cayley(h, t, basis):
+    eye = np.eye(len(basis))
+    return np.linalg.solve(eye - 0.5 * t * h, (eye + 0.5 * t * h) @ basis)
+
+
+def ensemble(seed, dims):
+    rho = qd.make_random_density(seed, qd.std_layout(dims[0], dims[1:]))
+    ens = qd.pointer_ensemble(rho, "S", list(rho.layout.environment_labels))
+    probs, conds = ens.live()
+    return ens, probs, np.stack(conds)
 
 
 class TestQubitPath:
@@ -42,11 +67,12 @@ class TestQubitPath:
 
 
 class TestGeneralPath:
-    def test_unitary_from_params(self):
-        rng = np.random.default_rng(0)
-        for d in (3, 4):
-            u = unitary_from_params(rng.standard_normal(d * d), d)
-            assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-10)
+    def test_result_basis_is_unitary(self):
+        for dim in (3, 4):
+            target = haar_random_unitary(np.random.default_rng(dim), dim)[:, 0]
+            res = maximize_over_bases(alignment_objective(target), dim)
+            assert np.allclose(res.basis @ res.basis.conj().T, np.eye(dim), atol=1e-10)
+            assert res.iterations >= 1
 
     def test_finds_known_direction_dim3(self):
         target = np.zeros(3, dtype=complex)
@@ -62,6 +88,60 @@ class TestGeneralPath:
         r1 = maximize_over_bases(alignment_objective(target), 3, config)
         r2 = maximize_over_bases(alignment_objective(target), 3, config)
         assert r1.value == r2.value
+        assert np.array_equal(r1.basis, r2.basis)
+
+
+class TestClassicalInformationGradient:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 2, 2)])
+    def test_matches_central_differences(self, dims):
+        # the slope of I along t -> cayley(tH) U is <A, H> for the Riemannian
+        # gradient A, for every skew-Hermitian direction H
+        rng = np.random.default_rng(sum(dims))
+        _, probs, conds = ensemble(7, dims)
+        dim = conds.shape[1]
+        basis = haar_random_unitary(rng, dim)
+        _, grads = _classical_mi(probs, conds, basis[None])
+        a = _direction(grads, basis[None])
+        step = 1e-5
+        for _ in range(3):
+            h = random_skew(rng, dim)
+            ahead = _classical_mi(probs, conds, cayley(h, step, basis)[None])[0][0]
+            behind = _classical_mi(probs, conds, cayley(h, -step, basis)[None])[0][0]
+            slope = (ahead - behind) / (2.0 * step)
+            assert slope == pytest.approx(_inner(a, h[None])[0], abs=1e-8)
+
+    def test_single_basis_value_matches_batch_row(self):
+        _, probs, conds = ensemble(3, (2, 3))
+        bases = np.stack([haar_random_unitary(np.random.default_rng(s), 3) for s in range(4)])
+        values, _ = _classical_mi(probs, conds, bases)
+        for basis, value in zip(bases, values):
+            assert qd.measures.classical_mutual_information(probs, list(conds), basis) == value
+
+
+class TestAscentOracles:
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_rotated_commuting_ensemble_reaches_chi(self, dim):
+        # conditionals diagonal in one rotated basis: measuring that basis
+        # attains chi, so the optimum is known without any search
+        rng = np.random.default_rng(40 + dim)
+        v = haar_random_unitary(rng, dim)
+        probs = rng.dirichlet(np.ones(3))
+        spectra = rng.dirichlet(np.ones(dim), size=3)
+        conds = np.stack([(v * w) @ v.conj().T for w in spectra])
+        chi = (qd.entropy_bits(probs @ spectra)
+               - sum(p * qd.entropy_bits(w) for p, w in zip(probs, spectra)))
+        res = maximize_over_bases(lambda bases: _classical_mi(probs, conds, bases), dim)
+        assert res.value == pytest.approx(chi, abs=OptimizerConfig().eps_opt)
+        assert res.value <= chi + 1e-12
+
+    def test_qubit_fragments_match_grid_oracle(self):
+        eps_opt = OptimizerConfig().eps_opt
+        for seed in range(20):
+            ens, probs, conds = ensemble(500 + seed, (2, 2))
+            acc = ens.accessible_information(OptimizerConfig(), optimize_lower=True)
+            assert acc.lower_optimized
+            floor = oracles.classical_mi_grid_max(probs, list(conds))
+            assert floor - 1e-6 <= acc.lower <= ens.holevo + eps_opt
 
 
 class TestConvergenceRule:

@@ -249,6 +249,12 @@ class TestPerturbAndSuite:
             assert rho.dim <= 32
         assert seen == {"sbs", "perturbed-sbs", "cq", "haar"}
 
+    @pytest.mark.parametrize("cap", [9, 16, 32])
+    def test_every_family_respects_the_cap(self, cap):
+        for seed in (0, 1):
+            for idx, family, rho in qd.zoo.theorem_suite(seed, 200, dims_cap=cap):
+                assert rho.dim <= cap, (seed, idx, family, rho.dim)
+
     @pytest.mark.parametrize("cap", [1, 8])
     def test_cap_below_smallest_broadcast_case_raises(self, cap):
         # a 3-branch broadcast state has dim >= 9 and a 2-branch one dim >= 4

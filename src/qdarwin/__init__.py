@@ -12,6 +12,7 @@ from .core import (
     save_state,
     tensor,
     validate_density_matrix,
+    validate_factor,
     validate_pure_state,
 )
 from .measures import (

@@ -3,12 +3,20 @@
 States carry a :class:`SubsystemLayout` naming each tensor factor.  The first
 factor is the most significant Kronecker index, so ``layout.labels`` fixes a
 bit-exact matrix ordering for files and tests.
+
+Every reduction goes through one seam, a factor V of the state (rho = V
+V^dagger, d x r): the reduction to labels K is the factor W = V with the kept
+indices moved to its rows and the traced ones to its columns, and its
+spectrum is that of the smaller of W W^dagger and W^dagger W
+(:func:`reduced_factor`, :func:`reduced_spectrum`, :func:`partial_trace`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,6 +54,7 @@ TOL_OFFDIAG = 1e-8     # broadcast structure: norm of an off-diagonal pointer bl
 TOL_OVERLAP = 1e-8     # broadcast structure: overlap tr(rho_i rho_j) of two conditionals
 TOL_CMI = 1e-8         # strong independence: I(E_j:E_k|S), bits
 BORDERLINE_FACTOR = 10.0  # a diagnostic within this factor of its tolerance is borderline
+RANK_EPS = float(np.finfo(float).eps)  # a factor keeps eigenvalues above d * RANK_EPS * lambda_max
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -105,11 +114,12 @@ class SubsystemLayout:
         wanted = list(labels)
         if not wanted:
             raise UnknownLabel("empty label set")
-        if len(set(wanted)) != len(wanted):
+        chosen = set(wanted)
+        if len(chosen) != len(wanted):
             raise DuplicateLabel(f"duplicate labels in {wanted}")
         for lab in wanted:
             self.index_of(lab)
-        return tuple(l for l in self.labels if l in set(wanted))
+        return tuple(l for l in self.labels if l in chosen)
 
     def subset(self, keep: Iterable[str], system: str | None = "auto") -> "SubsystemLayout":
         kept = self.require(keep)
@@ -152,10 +162,24 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density operator plus the layout naming its tensor factors."""
+    """Validated density operator plus the layout naming its tensor factors.
+
+    ``factor`` is a d x r matrix V with rho = V V^dagger, r the number of
+    eigenvalues above ``d * RANK_EPS * lambda_max``.  Validation and the
+    constructors that know V set it; any other state computes it once, on
+    first use.
+    """
 
     matrix: np.ndarray
     layout: SubsystemLayout
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        return _psd_factor(self.matrix)[1]
+
+    @cached_property
+    def _spectra(self) -> dict[tuple[str, ...], np.ndarray]:
+        return {}
 
     @property
     def dim(self) -> int:
@@ -180,8 +204,7 @@ class PureState:
     layout: SubsystemLayout
 
     def to_density(self) -> DensityMatrix:
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(_freeze(rho), self.layout)
+        return validate_factor(self.amplitudes[:, None], self.layout)
 
 
 def validate_pure_state(amplitudes: np.ndarray, layout: SubsystemLayout) -> PureState:
@@ -195,8 +218,25 @@ def validate_pure_state(amplitudes: np.ndarray, layout: SubsystemLayout) -> Pure
     return PureState(_freeze(v), layout)
 
 
+def _psd_factor(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue of the Hermitian part of ``m``, and the factor V = U sqrt(w)
+    of its eigenpairs above ``d * RANK_EPS * lambda_max``."""
+    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+    keep = w > m.shape[0] * RANK_EPS * w[-1]
+    return float(w[0]), _freeze(u[:, keep] * np.sqrt(w[keep]))
+
+
+def _state(matrix: np.ndarray, layout: SubsystemLayout,
+           factor: np.ndarray | None) -> DensityMatrix:
+    rho = DensityMatrix(_freeze(matrix), layout)
+    if factor is not None:
+        rho.__dict__["factor"] = _freeze(factor)  # fills the cached property
+    return rho
+
+
 def validate_density_matrix(matrix: np.ndarray, layout: SubsystemLayout) -> DensityMatrix:
-    """Check Hermiticity, positivity, and unit trace; eigenvalues are never mutated here."""
+    """Check Hermiticity, positivity, and unit trace; eigenvalues are never mutated
+    here.  The positivity check's eigendecomposition gives the state's factor."""
     m = _check_matrix(matrix)
     if m.shape[0] != layout.total_dim:
         raise DimensionMismatch(
@@ -207,10 +247,25 @@ def validate_density_matrix(matrix: np.ndarray, layout: SubsystemLayout) -> Dens
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TOL_TRACE:
         raise TraceNotOne(f"trace is {tr:.12g}, not 1")
-    lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
+    lo, factor = _psd_factor(m)
     if lo < -TOL_PSD:
         raise NotPositive(lo)
-    return DensityMatrix(_freeze(m), layout)
+    return _state(m, layout, factor)
+
+
+def validate_factor(factor: np.ndarray, layout: SubsystemLayout) -> DensityMatrix:
+    """The state V V^dagger of a d x r factor V, positive by construction; checks
+    the shape, finiteness and tr rho = |V|_F^2 = 1."""
+    v = np.asarray(factor, dtype=complex)
+    if v.ndim != 2 or v.shape[0] != layout.total_dim:
+        raise DimensionMismatch(
+            f"factor shape {v.shape} does not match layout dimension {layout.total_dim}")
+    if not np.all(np.isfinite(v)):
+        raise DimensionMismatch("factor contains non-finite entries")
+    tr = float(np.vdot(v, v).real)
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise TraceNotOne(f"trace is {tr:.12g}, not 1")
+    return _state(v @ v.conj().T, layout, v)
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,24 +325,46 @@ def _canonical_subspace_basis(vecs: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def reduced_factor(rho: DensityMatrix, keep: Sequence[str]) -> np.ndarray:
+    """Factor W of the reduction to ``keep``, rho_K = W W^dagger, with rows in the
+    order of ``keep``: the factor's kept indices become rows, its traced indices
+    and its own columns become columns (a transpose and a reshape)."""
+    rho.layout.require(keep)
+    dims = rho.layout.dims
+    rows = [rho.layout.index_of(l) for l in keep]
+    cols = [i for i in range(len(dims)) if i not in rows]
+    v = rho.factor
+    return (v.reshape(*dims, v.shape[1]).transpose(*rows, *cols, len(dims))
+            .reshape(math.prod(dims[i] for i in rows), -1))
+
+
+def gram_spectrum(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of W W^dagger, from the smaller of W W^dagger and W^dagger W
+    (the two share their nonzero eigenvalues)."""
+    return np.linalg.eigvalsh(w @ w.conj().T if w.shape[0] <= w.shape[1] else w.conj().T @ w)
+
+
+def reduced_spectrum(rho: DensityMatrix, keep: Iterable[str]) -> np.ndarray:
+    """Eigenvalues of the reduction to ``keep``, memoized per label subset on the state."""
+    kept = rho.layout.require(keep)
+    spectra = rho._spectra
+    if kept not in spectra:
+        spectra[kept] = gram_spectrum(reduced_factor(rho, kept))
+    return spectra[kept]
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Trace out every factor not named in ``keep``; kept factors stay in layout order."""
+    """Trace out every factor not named in ``keep``; kept factors stay in layout order.
+
+    The reduction is W W^dagger of its :func:`reduced_factor`, which becomes the
+    reduced state's factor when it has no more columns than rows.
+    """
     kept = rho.layout.require(keep)
     if kept == rho.layout.labels:
         return rho
-    labels = rho.layout.labels
-    n = len(labels)
-    keep_set = set(kept)
-    t = rho.tensor_view()
-    removed = 0
-    for ax in range(n - 1, -1, -1):
-        if labels[ax] in keep_set:
-            continue
-        t = np.trace(t, axis1=ax, axis2=ax + (n - removed))
-        removed += 1
-    sub = rho.layout.subset(kept)
-    d = sub.total_dim
-    return DensityMatrix(_freeze(t.reshape(d, d)), sub)
+    w = reduced_factor(rho, kept)
+    return _state(w @ w.conj().T, rho.layout.subset(kept),
+                  w if w.shape[1] <= w.shape[0] else None)
 
 
 def tensor(states: Sequence[DensityMatrix]) -> DensityMatrix:
@@ -412,7 +489,12 @@ def load_state(path_or_file: str | IO[str]) -> DensityMatrix:
         parts = np.array(payload.get("matrix"))
     except ValueError:  # ragged nesting
         parts = None
+    # the parsed lists take several times the matrix's memory; free them before
+    # validation's eigendecomposition allocates
+    del payload
     if (parts is None or parts.dtype.kind not in "iuf" or parts.ndim != 3
             or parts.shape[0] != parts.shape[1] or parts.shape[2] != 2):
         raise DimensionMismatch("'matrix' must be a d x d array of [re, im] number pairs")
-    return validate_density_matrix(parts[..., 0] + 1j * parts[..., 1], layout)
+    matrix = parts[..., 0] + 1j * parts[..., 1]
+    del parts
+    return validate_density_matrix(matrix, layout)

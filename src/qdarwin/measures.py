@@ -2,9 +2,14 @@
 
 Strong Darwinism and broadcast structure are statements about one object, the
 pointer ensemble {p_i, rho_F|i} of a system S and a fragment F.
-:func:`pointer_ensemble` builds it from a single (S, F) reduction; I(S:F),
-the Holevo quantity chi, the discord and the accessible-information bracket
-are read from the :class:`PointerEnsemble`.  Two rules choose its basis:
+:func:`pointer_ensemble` builds it from the factor W of the (S, F) reduction
+(:func:`qdarwin.core.reduced_factor`): the branch factors W_i = (<i| x 1) W
+give p_i = |W_i|_F^2 and the spectra of the conditionals, and H(F) and H(SF)
+come from the state's memoized reduced spectra, so no matrix larger than a
+Gram matrix is formed.  The dense joint state, conditionals and rho_F are
+formed only when read.  I(S:F), the Holevo quantity chi, the discord and the
+accessible-information bracket are read from the :class:`PointerEnsemble`.
+Two rules choose its basis:
 
 * chi, I, discord, the deficit ``M``, the distance bound ``eta`` and the
   redundancy use the canonical eigenbasis of rho_S (``basis=None``);
@@ -21,7 +26,7 @@ accessible-information lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -37,8 +42,11 @@ from .core import (
     DensityMatrix,
     ProjectiveMeasurement,
     eig_hermitian,
-    factor_first,
+    gram_spectrum,
     partial_trace,
+    reduced_factor,
+    reduced_spectrum,
+    validate_factor,
 )
 from .errors import DimensionMismatch, OverlappingParts
 from .optimize import DEFAULT_OPT, OptimizerConfig, maximize_over_bases
@@ -55,7 +63,8 @@ class MeasureValue:
 @dataclass(frozen=True)
 class AccessibleInfoBounds:
     """Bracket for the accessible information, exact when the ensemble commutes; an
-    optimized lower bound adds the restarts, iterations and best-minus-second gap."""
+    optimized lower bound adds the restarts, iterations, best-minus-second gap and
+    the number of restarts stopped by the iteration cap."""
 
     lower: float
     upper: float
@@ -64,6 +73,7 @@ class AccessibleInfoBounds:
     restarts: int = 0
     gap: float = 0.0
     iterations: int = 0
+    capped: int = 0
 
 
 def entropy_bits(probs: Iterable[float]) -> float:
@@ -75,14 +85,20 @@ def entropy_bits(probs: Iterable[float]) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _spectrum_entropy(w: np.ndarray) -> float:
+    """Entropy of a spectrum; eigenvalues within the PSD band clamp to [0, 1]."""
+    return entropy_bits(np.clip(w, 0.0, 1.0))
+
+
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """Entropy -tr(rho log2 rho); eigenvalues within the PSD band clamp to [0, 1]."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return entropy_bits(np.clip(np.linalg.eigvalsh(m), 0.0, 1.0))
+    if isinstance(rho, DensityMatrix):
+        return _entropy_of_labels(rho, rho.layout.labels)
+    return _spectrum_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
 
 
 def _entropy_of_labels(rho: DensityMatrix, labels: Sequence[str]) -> float:
-    return von_neumann_entropy(partial_trace(rho, labels))
+    return _spectrum_entropy(reduced_spectrum(rho, labels))
 
 
 def _disjoint(*parts: Sequence[str]) -> None:
@@ -100,9 +116,8 @@ def mutual_information(rho: DensityMatrix, part_a: Sequence[str],
     a = rho.layout.require(part_a)
     b = rho.layout.require(part_b)
     _disjoint(a, b)
-    joint = partial_trace(rho, a + b)
-    return (_entropy_of_labels(joint, a) + _entropy_of_labels(joint, b)
-            - von_neumann_entropy(joint))
+    return (_entropy_of_labels(rho, a) + _entropy_of_labels(rho, b)
+            - _entropy_of_labels(rho, a + b))
 
 
 def conditional_mutual_information(rho: DensityMatrix, part_a: Sequence[str],
@@ -113,11 +128,10 @@ def conditional_mutual_information(rho: DensityMatrix, part_a: Sequence[str],
     b = rho.layout.require(part_b)
     c = tuple(rho.layout.require(cond)) if list(cond) else ()
     _disjoint(a, b, c)
-    joint = partial_trace(rho, a + b + c)
-    h_ac = _entropy_of_labels(joint, a + c)
-    h_bc = _entropy_of_labels(joint, b + c)
-    h_c = _entropy_of_labels(joint, c) if c else 0.0
-    value = h_ac + h_bc - h_c - von_neumann_entropy(joint)
+    h_ac = _entropy_of_labels(rho, a + c)
+    h_bc = _entropy_of_labels(rho, b + c)
+    h_c = _entropy_of_labels(rho, c) if c else 0.0
+    value = h_ac + h_bc - h_c - _entropy_of_labels(rho, a + b + c)
     if -EPS_NUM <= value < 0.0:
         return 0.0
     return value
@@ -159,6 +173,18 @@ def pointer_basis(rho: DensityMatrix, system: str) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(system, vecs)
 
 
+def _branch_factors(w: np.ndarray, d_s: int, basis: ProjectiveMeasurement
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Branch factors W_i = (<i| x 1) W of a system-first reduced factor W, as an
+    (outcomes, d_rest, columns) stack, and the probabilities p_i = |W_i|_F^2."""
+    kets = basis.basis
+    if kets.shape[0] != d_s:
+        raise DimensionMismatch(
+            f"measurement dimension {kets.shape[0]} != factor dimension {d_s}")
+    branches = np.tensordot(kets.conj(), w.reshape(d_s, -1, w.shape[1]), axes=(0, 0))
+    return branches, np.einsum("ijk,ijk->i", branches.conj(), branches).real
+
+
 def branch_decomposition(rho: DensityMatrix, system: str,
                          basis: ProjectiveMeasurement
                          ) -> tuple[np.ndarray, list[np.ndarray | None]]:
@@ -168,44 +194,56 @@ def branch_decomposition(rho: DensityMatrix, system: str,
     Outcomes with probability below ``TOL_PROB`` have conditional None.
     """
     d_s = rho.layout.dim_of(system)
-    if basis.basis.shape[0] != d_s:
-        raise DimensionMismatch(
-            f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
-    t, _ = factor_first(rho, system)
-    kets = basis.basis
-    probs = np.empty(kets.shape[1])
-    conds: list[np.ndarray | None] = []
-    for a in range(kets.shape[1]):
-        ket = kets[:, a]
-        block = np.einsum("i,ijkl,k->jl", ket.conj(), t, ket)
-        p = max(float(block.trace().real), 0.0)
-        probs[a] = p
-        conds.append(block / p if p > TOL_PROB else None)
-    return probs, conds
+    rest = tuple(l for l in rho.layout.labels if l != system)
+    branches, probs = _branch_factors(reduced_factor(rho, (system, *rest)), d_s, basis)
+    return probs, [b @ b.conj().T / p if p > TOL_PROB else None
+                   for b, p in zip(branches, probs)]
 
 
 @dataclass(frozen=True)
 class PointerEnsemble:
-    """Pointer ensemble {p_i, rho_F|i} of one (system, fragment) reduction.
+    """Pointer ensemble {p_i, rho_F|i} of one (system, fragment) reduction of ``state``.
 
-    ``eigenvalues`` are those of rho_S in descending order; ``conditionals[i]``
-    is None for a branch with probability below ``TOL_PROB``.
-    Entropies are in bits; ``h_f_given_s`` is sum_i p_i H(rho_F|i).
+    ``eigenvalues`` are those of rho_S in descending order.  ``branch_factors[i]``
+    is W_i = (<i| x 1) W for the factor W of the (S, F) reduction, so
+    p_i rho_F|i = W_i W_i^dagger.  Entropies are in bits; ``h_f_given_s`` is
+    sum_i p_i H(rho_F|i).  The dense ``joint``, ``conditionals`` (None for a
+    branch with probability below ``TOL_PROB``) and ``rho_f`` are formed on
+    first read.
     """
 
     system: str
     fragment: tuple[str, ...]
-    joint: DensityMatrix
+    state: DensityMatrix
     rho_s: np.ndarray
     eigenvalues: np.ndarray
     basis: ProjectiveMeasurement
     probabilities: np.ndarray
-    conditionals: tuple[np.ndarray | None, ...]
-    rho_f: np.ndarray
+    branch_factors: np.ndarray
     h_s: float
     h_f: float
     h_sf: float
     h_f_given_s: float
+
+    @cached_property
+    def joint(self) -> DensityMatrix:
+        """Reduction of ``state`` to the system and the fragment."""
+        return partial_trace(self.state, (self.system, *self.fragment))
+
+    @cached_property
+    def conditional_states(self) -> tuple[DensityMatrix | None, ...]:
+        """rho_F|i as states on the fragment, each with its factor W_i / sqrt(p_i)."""
+        layout = self.state.layout.subset(self.fragment, system=None)
+        return tuple(validate_factor(b / np.sqrt(p), layout) if p > TOL_PROB else None
+                     for b, p in zip(self.branch_factors, self.probabilities))
+
+    @cached_property
+    def conditionals(self) -> tuple[np.ndarray | None, ...]:
+        return tuple(None if c is None else c.matrix for c in self.conditional_states)
+
+    @cached_property
+    def rho_f(self) -> np.ndarray:
+        return partial_trace(self.state, self.fragment).matrix
 
     @property
     def mutual_information(self) -> float:
@@ -259,12 +297,13 @@ class PointerEnsemble:
             return AccessibleInfoBounds(lower, chi, False, False)
         result = maximize_over_bases(partial(_classical_mi, ps, np.stack(cs)), len(cs[0]), opt)
         return AccessibleInfoBounds(min(result.value, chi + opt.eps_opt), chi, False, True,
-                                    result.restarts, result.gap, result.iterations)
+                                    result.restarts, result.gap, result.iterations,
+                                    result.capped)
 
 
 def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
                      basis: ProjectiveMeasurement | None = None) -> PointerEnsemble:
-    """Reduce rho to (system, fragment) once and split it into pointer branches.
+    """Split the (system, fragment) reduction's factor into pointer branches.
 
     ``basis`` defaults to the canonical eigenbasis of rho_S; the broadcast
     detector passes its refined basis when rho_S is degenerate.
@@ -272,18 +311,19 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
     frag = rho.layout.require(fragment)
     if system in frag:
         raise OverlappingParts(f"fragment contains the system label {system!r}")
-    joint = partial_trace(rho, (system, *frag))
-    rho_s = partial_trace(joint, [system]).matrix
-    w, vecs = eig_hermitian(rho_s)
+    d_s = rho.layout.dim_of(system)
+    w = reduced_factor(rho, (system, *frag))
+    w_s = w.reshape(d_s, -1)
+    rho_s = w_s @ w_s.conj().T
+    eigenvalues, vecs = eig_hermitian(rho_s)
     if basis is None:
         basis = ProjectiveMeasurement(system, vecs)
-    probs, conds = branch_decomposition(joint, system, basis)
-    rho_f = partial_trace(joint, frag).matrix
-    h_f_given_s = sum(float(p) * von_neumann_entropy(c)
-                      for p, c in zip(probs, conds) if c is not None)
-    return PointerEnsemble(system, frag, joint, rho_s, w, basis, probs, tuple(conds),
-                           rho_f, von_neumann_entropy(rho_s), von_neumann_entropy(rho_f),
-                           von_neumann_entropy(joint), float(h_f_given_s))
+    branches, probs = _branch_factors(w, d_s, basis)
+    h_f_given_s = sum(float(p) * _spectrum_entropy(gram_spectrum(b) / p)
+                      for b, p in zip(branches, probs) if p > TOL_PROB)
+    return PointerEnsemble(system, frag, rho, rho_s, eigenvalues, basis, probs, branches,
+                           _spectrum_entropy(eigenvalues), _entropy_of_labels(rho, frag),
+                           _entropy_of_labels(rho, (system, *frag)), float(h_f_given_s))
 
 
 def holevo_quantity(rho: DensityMatrix, system: str,

@@ -42,6 +42,7 @@ from .measures import (
     conditional_mutual_information,
     entropy_bits,
     fidelity,
+    pointer_basis,
     pointer_ensemble,
     trace_norm,
 )
@@ -149,7 +150,7 @@ def _strong_darwinism(ens: PointerEnsemble,
     holds = complete(ens)
     checks = []
     for sf in subfragments:
-        sub = pointer_ensemble(ens.joint, ens.system, sf)
+        sub = pointer_ensemble(ens.state, ens.system, sf)
         sf_holds = complete(sub)
         holds = holds and sf_holds
         checks.append(SubfragmentCheck(tuple(sf), sf_holds, sub.mutual_information,
@@ -231,7 +232,7 @@ def detect_broadcast_structure(rho: DensityMatrix, system: str,
     always returned; nothing raises on failure.
     """
     ens = pointer_ensemble(rho, system, _fragment(rho, fragment))
-    independence = _independence(ens.joint, system, ens.fragment)
+    independence = _independence(rho, system, ens.fragment)
     return _broadcast_structure(ens, independence)
 
 
@@ -240,7 +241,7 @@ def _broadcast_structure(ens: PointerEnsemble,
     t, _ = factor_first(ens.joint, ens.system)
     degenerate = ens.gap < DEGENERACY_GAP
     if degenerate:
-        ens = pointer_ensemble(ens.joint, ens.system, ens.fragment,
+        ens = pointer_ensemble(ens.state, ens.system, ens.fragment,
                                basis=_refined_pointer(ens, t))
     kets = ens.basis.basis
     d_s = kets.shape[1]
@@ -253,7 +254,6 @@ def _broadcast_structure(ens: PointerEnsemble,
 
     _, live = ens.live()
     frag = ens.fragment
-    frag_layout = ens.joint.layout.subset(frag, system=None)
     max_whole = 0.0
     max_sub = 0.0
     for ci, cj in itertools.combinations(live, 2):
@@ -262,8 +262,8 @@ def _broadcast_structure(ens: PointerEnsemble,
         if len(frag) == 1:
             subs = live
         else:
-            subs = [partial_trace(DensityMatrix(c, frag_layout), [lab]).matrix
-                    for c in live]
+            subs = [partial_trace(c, [lab]).matrix
+                    for c in ens.conditional_states if c is not None]
         for a, b in itertools.combinations(subs, 2):
             max_sub = max(max_sub, abs(float(np.trace(a @ b).real)))
     whole_ok = max_whole <= TOL_OVERLAP
@@ -358,7 +358,7 @@ def verify_equivalence(rho: DensityMatrix, system: str,
     ens = pointer_ensemble(rho, system, _fragment(rho, subenvironments))
     subfrags = [[l] for l in ens.fragment] if len(ens.fragment) > 1 else None
     sqd = _strong_darwinism(ens, subfrags, opt, optimize_acc_lower)
-    independence = _independence(ens.joint, system, ens.fragment)
+    independence = _independence(rho, system, ens.fragment)
     sbs = _broadcast_structure(ens, independence)
     si_holds = independence.holds if independence is not None else True
     consistent = sbs.holds == (sqd.holds and si_holds)
@@ -524,16 +524,17 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
     if strategy not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    # the pointer distribution depends on rho_S alone; any fragment gives it
-    first = pointer_ensemble(rho, system, subenvs[:1])
-    h_pointer = entropy_bits(first.probabilities)
+    # the pointer basis and distribution depend on rho_S alone: one basis serves
+    # every fragment, and any fragment gives the distribution
+    basis = pointer_basis(rho, system)
+    h_pointer = entropy_bits(pointer_ensemble(rho, system, subenvs[:1], basis).probabilities)
     threshold = (1.0 - delta) * h_pointer - opt.eps_opt
 
     cache: dict[tuple[str, ...], tuple[float, float, float]] = {}
 
     def evaluate(frag: tuple[str, ...]) -> tuple[float, float, float]:
         if frag not in cache:
-            ens = pointer_ensemble(rho, system, frag)
+            ens = pointer_ensemble(rho, system, frag, basis)
             cache[frag] = (ens.holevo, ens.mutual_information, ens.discord)
         return cache[frag]
 
@@ -639,7 +640,7 @@ class ObjectivityReport:
                 "lower_bits": self.acc.lower, "upper_bits": self.acc.upper,
                 "exact": self.acc.exact, "lower_optimized": self.acc.lower_optimized,
                 "restarts": self.acc.restarts, "iterations": self.acc.iterations,
-                "gap_bits": self.acc.gap},
+                "gap_bits": self.acc.gap, "capped": self.acc.capped},
             "tolerances": {
                 "offdiag": TOL_OFFDIAG,
                 "overlap": TOL_OVERLAP,
@@ -661,7 +662,7 @@ def analyze(rho: DensityMatrix, system: str,
     """Full objectivity report: all measures, verdicts, and diagnostics."""
     ens = pointer_ensemble(rho, system, _fragment(rho, fragment))
     sqd = _strong_darwinism(ens, subfragments, opt, optimize_acc_lower=True)
-    independence = _independence(ens.joint, system, ens.fragment)
+    independence = _independence(rho, system, ens.fragment)
     sbs = _broadcast_structure(ens, independence)
     try:
         m_sqd: float | None = _deficit(ens)

@@ -50,6 +50,7 @@ class OptimizationResult:
     restarts: int
     gap: float
     iterations: int = 0
+    capped: int = 0   # restarts still moving when the iteration cap stopped them
 
 
 def qubit_basis(theta, phi) -> np.ndarray:
@@ -60,7 +61,7 @@ def qubit_basis(theta, phi) -> np.ndarray:
 
 
 def _finish(candidates: list[tuple[float, np.ndarray]], config: OptimizerConfig,
-            iterations: int = 0) -> OptimizationResult:
+            iterations: int = 0, capped: int = 0) -> OptimizationResult:
     values = np.array([v for v, _ in candidates])
     order = np.argsort(-values, kind="stable")
     best = int(order[0])
@@ -68,7 +69,7 @@ def _finish(candidates: list[tuple[float, np.ndarray]], config: OptimizerConfig,
     if config.strict_convergence and gap > config.eps_opt:
         raise OptimizerDidNotConverge(gap, config.eps_opt)
     return OptimizationResult(float(values[best]), candidates[best][1],
-                              len(candidates), gap, iterations)
+                              len(candidates), gap, iterations, capped)
 
 
 def _starts(objective, dim: int, config: OptimizerConfig) -> np.ndarray:
@@ -94,7 +95,8 @@ def _direction(grads: np.ndarray, bases: np.ndarray) -> np.ndarray:  # G U^dagge
     return x - x.conj().transpose(0, 2, 1)
 
 
-def _ascend(objective, bases: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _ascend(objective, bases: np.ndarray, max_iter: int
+            ) -> tuple[np.ndarray, np.ndarray, int, int]:
     values, grads = objective(bases)
     a = _direction(grads, bases)
     slope, step, eye = _inner(a, a), np.ones(len(bases)), np.eye(bases.shape[1])
@@ -103,6 +105,7 @@ def _ascend(objective, bases: np.ndarray, max_iter: int) -> tuple[np.ndarray, np
         # a gain below the rounding of F cannot pass the Armijo test
         live = (slope > GRAD_FLOOR ** 2) & (step * slope > np.spacing(np.abs(values) + 1.0))
         if iterations == max_iter or not live.any():
+            capped = int(live.sum()) if iterations == max_iter else 0
             break
         idx = np.flatnonzero(live)
         half = 0.5 * step[idx, None, None] * a[idx]
@@ -121,7 +124,7 @@ def _ascend(objective, bases: np.ndarray, max_iter: int) -> tuple[np.ndarray, np
         bases[moved], values[moved], a[moved] = trial[ok], trial_values[ok], a_new
         slope[moved] = _inner(a_new, a_new)
         recent[iterations % MEMORY] = values
-    return values, bases, iterations
+    return values, bases, iterations, capped
 
 
 def maximize_over_bases(objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -133,6 +136,6 @@ def maximize_over_bases(objective: Callable[[np.ndarray], tuple[np.ndarray, np.n
     config; raises :class:`OptimizerDidNotConverge` when the two best restarts
     differ by more than ``config.eps_opt`` and strict convergence is enabled.
     """
-    values, bases, iterations = _ascend(objective, _starts(objective, dim, config),
-                                        config.max_refine_iter)
-    return _finish(list(zip(values.tolist(), bases)), config, iterations)
+    values, bases, iterations, capped = _ascend(objective, _starts(objective, dim, config),
+                                                config.max_refine_iter)
+    return _finish(list(zip(values.tolist(), bases)), config, iterations, capped)

@@ -14,6 +14,7 @@ from .core import (
     PureState,
     SubsystemLayout,
     validate_density_matrix,
+    validate_factor,
     validate_pure_state,
 )
 from .errors import (
@@ -168,11 +169,10 @@ def make_ghz_reduced(n_subenvs: int) -> DensityMatrix:
     if n_subenvs < 1:
         raise DimensionTooSmall("need at least one subenvironment")
     layout = std_layout(2, [2] * n_subenvs)
-    total = layout.total_dim
-    out = np.zeros((total, total), dtype=complex)
-    out[0, 0] = 0.5
-    out[total - 1, total - 1] = 0.5
-    return validate_density_matrix(out, layout)
+    # |0.5 + 0.5j|^2 is exactly 0.5 (sqrt(0.5)^2 rounds up), so the matrix holds 0.5
+    factor = np.zeros((layout.total_dim, 2), dtype=complex)
+    factor[0, 0] = factor[-1, 1] = 0.5 + 0.5j
+    return validate_factor(factor, layout)
 
 
 def make_horodecki(p: float) -> DensityMatrix:

@@ -101,3 +101,14 @@ def horodecki_matrix(p: float) -> np.ndarray:
     psi1 = np.array([a, 0.0, 0.0, b], dtype=complex)
     psi2 = np.array([0.0, b, a, 0.0], dtype=complex)
     return p * np.outer(psi1, psi1.conj()) + (1.0 - p) * np.outer(psi2, psi2.conj())
+
+
+def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Reduction of ``rho`` to the factor positions ``keep``, in that order: one
+    einsum that sums each traced row index against its column index."""
+    n = len(dims)
+    cols = [i if i not in keep else n + i for i in range(n)]
+    d = int(np.prod([dims[i] for i in keep]))
+    t = np.einsum(rho.reshape(tuple(dims) * 2), list(range(n)) + cols,
+                  [*keep, *(n + i for i in keep)])
+    return t.reshape(d, d)

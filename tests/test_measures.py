@@ -295,6 +295,19 @@ class TestAccessibleInformation:
         assert acc.lower >= floor - 1e-6
 
 
+    def test_restarts_stopped_by_the_cap_are_counted(self):
+        # a rank-deficient fragment puts the optimum on the boundary J_na = 0,
+        # where the ascent's gradient never falls below its floor
+        capped = qd.accessible_information_bounds(
+            qd.make_random_density(3000, qd.std_layout(2, [4]), rank=2), "S", ["E1"])
+        assert capped.lower_optimized
+        assert 0 < capped.capped <= capped.restarts
+        full = qd.accessible_information_bounds(
+            qd.make_random_density(0, qd.std_layout(2, [2])), "S", ["E1"])
+        assert full.lower_optimized
+        assert full.capped == 0
+
+
 class TestHelpers:
     def test_common_eigenbasis_diagonalizes_commuting_family(self):
         from qdarwin.zoo import haar_random_unitary

@@ -315,6 +315,15 @@ class TestRedundancy:
         # subenvironment carries chi = 1 = H(S)
         assert rep.scan_curve[0].mean_holevo == pytest.approx(1.0, abs=1e-9)
 
+    def test_ghz_ten_subenvironments(self):
+        # dim 2048: every fragment's entropies come from Gram matrices of at
+        # most 64 x 64, read from the rank-2 factor
+        rep = qd.redundancy(qd.make_ghz_reduced(10), "S", 0.01)
+        assert rep.r_delta == 10
+        assert len(rep.scan_curve) == 10
+        for pt in rep.scan_curve:
+            assert pt.mean_holevo == pytest.approx(1.0, abs=1e-6)
+
     def test_product_state_no_redundancy(self):
         parts = [qd.make_random_density(1, qd.SubsystemLayout.of(("S", 2), system="S"))]
         for k in range(3):

@@ -5,7 +5,6 @@ from .core import (
     ProjectiveMeasurement,
     PureState,
     SubsystemLayout,
-    dephase_subsystem,
     eig_hermitian,
     load_state,
     partial_trace,

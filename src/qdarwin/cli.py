@@ -58,6 +58,8 @@ def _optimizer_config(args) -> OptimizerConfig:
             raise UsageError(f"--grid must look like 64x32, got {args.grid!r}")
         if theta < 2 or phi < 2:
             raise UsageError("--grid densities must be at least 2")
+    if args.restarts < 1 or args.max_refine_iter < 0:
+        raise UsageError("need --restarts >= 1 and --max-refine-iter >= 0")
     return OptimizerConfig(theta, phi, restarts=args.restarts, seed=args.seed or 0,
                            max_refine_iter=args.max_refine_iter, eps_opt=args.tol_opt)
 
@@ -201,6 +203,8 @@ def cmd_scan(args) -> int:
     rho, system = _load(args)
     if not 0.0 < args.delta < 1.0:
         raise UsageError(f"--delta must lie strictly inside (0, 1), got {args.delta}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     seed = _require_seed(args)
     report = redundancy(rho, system, args.delta, OptimizerConfig(eps_opt=args.tol_opt),
                         args.strategy, scan_samples=args.samples, seed=seed)

@@ -9,6 +9,8 @@ V^dagger, d x r): the reduction to labels K is the factor W = V with the kept
 indices moved to its rows and the traced ones to its columns, and its
 spectrum is that of the smaller of W W^dagger and W^dagger W
 (:func:`reduced_factor`, :func:`reduced_spectrum`, :func:`partial_trace`).
+Nothing here views a state's d x d matrix by its factors: the pointer blocks
+the diagnostics read are products of branch factors (:mod:`qdarwin.measures`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +47,6 @@ TOL_PSD = 1e-9         # most negative eigenvalue of a valid state
 TOL_PROB = 1e-12       # branch probability, or H(S) in bits, treated as zero
 DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one degenerate cluster
 RANK_FLOOR = 1e-7      # Gram-Schmidt residual below which a projector column is dependent
-HERM_EXACT = 1e-12     # trace norm takes the Hermitian eigenvalue path within this
 TAU_COMM = 1e-9        # Frobenius norm of [rho_i, rho_j] below which conditionals commute
 EPS_NUM = 1e-9         # negative chi or CMI from rounding clamps to 0; appendix-c --tol-num
 EPS_OPT = 1e-6         # optimizer restart gap and strong-Darwinism equality, bits (--tol-opt)
@@ -184,10 +185,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def tensor_view(self) -> np.ndarray:
-        d = self.layout.dims
-        return self.matrix.reshape(d + d)
 
     def to_dict(self) -> dict:
         return {
@@ -426,43 +423,6 @@ class ProjectiveMeasurement:
             "subsystem": self.subsystem,
             "basis": [[[z.real, z.imag] for z in row] for row in self.basis],
         }
-
-
-def factor_first(rho: DensityMatrix, label: str
-                 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """View rho as a (d, d_rest, d, d_rest) array with factor ``label`` first.
-
-    Also returns the map that takes an array of that shape back to a matrix in
-    the layout's own factor order.
-    """
-    n = len(rho.layout.labels)
-    idx = rho.layout.index_of(label)
-    order = [idx] + [i for i in range(n) if i != idx]
-    perm = order + [i + n for i in order]
-    moved = tuple(rho.layout.dims[i] for i in order)
-    d = moved[0]
-    inverse = np.argsort(perm)
-
-    def restore(t: np.ndarray) -> np.ndarray:
-        return t.reshape(moved + moved).transpose(inverse).reshape(rho.dim, rho.dim)
-
-    t = rho.tensor_view().transpose(perm).reshape(d, rho.dim // d, d, rho.dim // d)
-    return t, restore
-
-
-def dephase_subsystem(rho: DensityMatrix, meas: ProjectiveMeasurement) -> DensityMatrix:
-    """Apply the measurement and discard results: rho -> sum_a P_a rho P_a."""
-    d_meas = rho.layout.dim_of(meas.subsystem)
-    if meas.basis.shape[0] != d_meas:
-        raise DimensionMismatch(
-            f"measurement dimension {meas.basis.shape[0]} != factor dimension {d_meas}")
-    t, restore = factor_first(rho, meas.subsystem)
-    out = np.zeros_like(t)
-    for a in range(meas.outcomes):
-        ket = meas.basis[:, a]
-        block = np.einsum("i,ijkl,k->jl", ket.conj(), t, ket)
-        out += np.einsum("i,jl,k->ijkl", ket, block, ket.conj())
-    return DensityMatrix(_freeze(restore(out)), rho.layout)
 
 
 def save_state(rho: DensityMatrix, path_or_file: str | IO[str]) -> None:

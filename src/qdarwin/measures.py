@@ -6,9 +6,11 @@ pointer ensemble {p_i, rho_F|i} of a system S and a fragment F.
 (:func:`qdarwin.core.reduced_factor`): the branch factors W_i = (<i| x 1) W
 give p_i = |W_i|_F^2 and the spectra of the conditionals, and H(F) and H(SF)
 come from the state's memoized reduced spectra, so no matrix larger than a
-Gram matrix is formed.  The dense joint state, conditionals and rho_F are
-formed only when read.  I(S:F), the Holevo quantity chi, the discord and the
-accessible-information bracket are read from the :class:`PointerEnsemble`.
+Gram matrix is formed.  The pointer blocks <i|rho_SF|j> = W_i W_j^dagger,
+which the broadcast detector and the distance bound read, the conditionals
+and rho_F are formed only when read.  I(S:F), the Holevo quantity chi, the
+discord and the accessible-information bracket are read from the
+:class:`PointerEnsemble`.
 Two rules choose its basis:
 
 * chi, I, discord, the deficit ``M``, the distance bound ``eta`` and the
@@ -36,7 +38,7 @@ from .core import (
     DEGENERACY_GAP,
     EPS_NUM,
     EPS_OPT,
-    HERM_EXACT,
+    RANK_EPS,
     TAU_COMM,
     TOL_PROB,
     DensityMatrix,
@@ -90,11 +92,9 @@ def _spectrum_entropy(w: np.ndarray) -> float:
     return entropy_bits(np.clip(w, 0.0, 1.0))
 
 
-def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -tr(rho log2 rho); eigenvalues within the PSD band clamp to [0, 1]."""
-    if isinstance(rho, DensityMatrix):
-        return _entropy_of_labels(rho, rho.layout.labels)
-    return _spectrum_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
+    return _entropy_of_labels(rho, rho.layout.labels)
 
 
 def _entropy_of_labels(rho: DensityMatrix, labels: Sequence[str]) -> float:
@@ -145,15 +145,17 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 def trace_norm(matrix: np.ndarray) -> float:
+    """Sum of |eigenvalues| of the Hermitian part; every caller passes a
+    difference of Hermitian operators."""
     m = np.asarray(matrix, dtype=complex)
-    if np.allclose(m, m.conj().T, atol=HERM_EXACT):
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2.0)).sum())
 
 
 def _sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix; eigenvalues up to the factor's rank cut are
+    rounding and count as 0 (their square roots, about 1e-8, would enter F)."""
     w, v = np.linalg.eigh(matrix)
-    w = np.clip(w, 0.0, None)
+    w = np.where(w > matrix.shape[0] * RANK_EPS * w[-1], w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -173,18 +175,6 @@ def pointer_basis(rho: DensityMatrix, system: str) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(system, vecs)
 
 
-def _branch_factors(w: np.ndarray, d_s: int, basis: ProjectiveMeasurement
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Branch factors W_i = (<i| x 1) W of a system-first reduced factor W, as an
-    (outcomes, d_rest, columns) stack, and the probabilities p_i = |W_i|_F^2."""
-    kets = basis.basis
-    if kets.shape[0] != d_s:
-        raise DimensionMismatch(
-            f"measurement dimension {kets.shape[0]} != factor dimension {d_s}")
-    branches = np.tensordot(kets.conj(), w.reshape(d_s, -1, w.shape[1]), axes=(0, 0))
-    return branches, np.einsum("ijk,ijk->i", branches.conj(), branches).real
-
-
 def branch_decomposition(rho: DensityMatrix, system: str,
                          basis: ProjectiveMeasurement
                          ) -> tuple[np.ndarray, list[np.ndarray | None]]:
@@ -193,11 +183,9 @@ def branch_decomposition(rho: DensityMatrix, system: str,
 
     Outcomes with probability below ``TOL_PROB`` have conditional None.
     """
-    d_s = rho.layout.dim_of(system)
-    rest = tuple(l for l in rho.layout.labels if l != system)
-    branches, probs = _branch_factors(reduced_factor(rho, (system, *rest)), d_s, basis)
-    return probs, [b @ b.conj().T / p if p > TOL_PROB else None
-                   for b, p in zip(branches, probs)]
+    ens = pointer_ensemble(rho, system, [l for l in rho.layout.labels if l != system],
+                           basis)
+    return ens.probabilities, list(ens.conditionals)
 
 
 @dataclass(frozen=True)
@@ -207,9 +195,8 @@ class PointerEnsemble:
     ``eigenvalues`` are those of rho_S in descending order.  ``branch_factors[i]``
     is W_i = (<i| x 1) W for the factor W of the (S, F) reduction, so
     p_i rho_F|i = W_i W_i^dagger.  Entropies are in bits; ``h_f_given_s`` is
-    sum_i p_i H(rho_F|i).  The dense ``joint``, ``conditionals`` (None for a
-    branch with probability below ``TOL_PROB``) and ``rho_f`` are formed on
-    first read.
+    sum_i p_i H(rho_F|i).  ``blocks``, ``conditionals`` (None for a branch with
+    probability below ``TOL_PROB``) and ``rho_f`` are formed on first read.
     """
 
     system: str
@@ -226,9 +213,11 @@ class PointerEnsemble:
     h_f_given_s: float
 
     @cached_property
-    def joint(self) -> DensityMatrix:
-        """Reduction of ``state`` to the system and the fragment."""
-        return partial_trace(self.state, (self.system, *self.fragment))
+    def blocks(self) -> np.ndarray:
+        """Pointer blocks <i|rho_SF|j> = W_i W_j^dagger as a (d_s, d_s, d_f, d_f)
+        array: ``blocks[i, j]`` is an operator on the fragment."""
+        w = self.branch_factors
+        return np.tensordot(w, w.conj(), axes=(2, 2)).transpose(0, 2, 1, 3)
 
     @cached_property
     def conditional_states(self) -> tuple[DensityMatrix | None, ...]:
@@ -306,7 +295,8 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
     """Split the (system, fragment) reduction's factor into pointer branches.
 
     ``basis`` defaults to the canonical eigenbasis of rho_S; the broadcast
-    detector passes its refined basis when rho_S is degenerate.
+    detector passes its refined basis when rho_S is degenerate.  A given basis
+    needs only the eigenvalues of rho_S.
     """
     frag = rho.layout.require(fragment)
     if system in frag:
@@ -315,10 +305,17 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
     w = reduced_factor(rho, (system, *frag))
     w_s = w.reshape(d_s, -1)
     rho_s = w_s @ w_s.conj().T
-    eigenvalues, vecs = eig_hermitian(rho_s)
     if basis is None:
+        eigenvalues, vecs = eig_hermitian(rho_s)
         basis = ProjectiveMeasurement(system, vecs)
-    branches, probs = _branch_factors(w, d_s, basis)
+    elif basis.basis.shape[0] != d_s:
+        raise DimensionMismatch(
+            f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
+    else:
+        eigenvalues = np.linalg.eigvalsh((rho_s + rho_s.conj().T) / 2.0)[::-1]
+    # branch factors W_i = (<i| x 1) W and p_i = |W_i|_F^2
+    branches = np.tensordot(basis.basis.conj(), w.reshape(d_s, -1, w.shape[1]), axes=(0, 0))
+    probs = np.einsum("ijk,ijk->i", branches.conj(), branches).real
     h_f_given_s = sum(float(p) * _spectrum_entropy(gram_spectrum(b) / p)
                       for b, p in zip(branches, probs) if p > TOL_PROB)
     return PointerEnsemble(system, frag, rho, rho_s, eigenvalues, basis, probs, branches,

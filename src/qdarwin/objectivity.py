@@ -25,8 +25,6 @@ from .core import (
     DensityMatrix,
     ProjectiveMeasurement,
     canonical_phases,
-    dephase_subsystem,
-    factor_first,
     partial_trace,
 )
 from .errors import (
@@ -201,22 +199,23 @@ class SbsVerdict:
         }
 
 
-def _refined_pointer(ens: PointerEnsemble, t: np.ndarray) -> ProjectiveMeasurement:
+def _refined_pointer(ens: PointerEnsemble) -> ProjectiveMeasurement:
     """Canonical eigenbasis of a degenerate rho_S with its degenerate clusters
-    refined by simultaneous diagonalization against fragment-probe operators;
-    ``t`` is the joint state as a (d_s, d_f, d_s, d_f) array."""
-    d_f = t.shape[1]
-    probes: list[np.ndarray] = [ens.rho_s]
+    refined by simultaneous diagonalization against the fragment probes
+    (1 x <m|) rho_SF (1 x |k>), operators on S in its computational basis."""
+    kets = ens.basis.basis
+    t = np.einsum("ai,ijmk,bj->mkab", kets, ens.blocks, kets.conj())
+    d_f = t.shape[0]
+    # -rho_S first: its clusters come out in descending rho_S order, and each
+    # keeps the order the probes that split it give
+    probes: list[np.ndarray] = [-ens.rho_s]
     for m in range(d_f):
         for k in range(m, d_f):
-            block = t[:, m, :, k]
+            block = t[m, k]
             probes.append(block + block.conj().T)
             if k > m:
                 probes.append(1j * (block - block.conj().T))
     basis = common_eigenbasis(probes)
-    # re-sort columns by descending rho_S expectation
-    expect = np.real(np.einsum("ij,jk,ik->k", ens.rho_s, basis, basis.conj()))
-    basis = basis[:, np.argsort(-expect, kind="stable")]
     return ProjectiveMeasurement(ens.system, canonical_phases(basis))
 
 
@@ -236,36 +235,26 @@ def detect_broadcast_structure(rho: DensityMatrix, system: str,
     return _broadcast_structure(ens, independence)
 
 
+def _max_overlap(states: Sequence[np.ndarray]) -> float:
+    """Largest |tr(a b)| over pairs of ``states``; 0 for fewer than two."""
+    return max((abs(float(np.trace(a @ b).real))
+                for a, b in itertools.combinations(states, 2)), default=0.0)
+
+
 def _broadcast_structure(ens: PointerEnsemble,
                          independence: IndependenceVerdict | None) -> SbsVerdict:
-    t, _ = factor_first(ens.joint, ens.system)
     degenerate = ens.gap < DEGENERACY_GAP
     if degenerate:
         ens = pointer_ensemble(ens.state, ens.system, ens.fragment,
-                               basis=_refined_pointer(ens, t))
-    kets = ens.basis.basis
-    d_s = kets.shape[1]
-    max_offdiag = 0.0
-    for i in range(d_s):
-        for j in range(i + 1, d_s):
-            block = np.einsum("i,ijkl,k->jl", kets[:, i].conj(), t, kets[:, j])
-            max_offdiag = max(max_offdiag, float(np.linalg.norm(block)))
+                               basis=_refined_pointer(ens))
+    max_offdiag = max(float(np.linalg.norm(ens.blocks[i, j]))
+                      for i, j in itertools.combinations(range(len(ens.probabilities)), 2))
     cq_ok = max_offdiag <= TOL_OFFDIAG
 
-    _, live = ens.live()
-    frag = ens.fragment
-    max_whole = 0.0
-    max_sub = 0.0
-    for ci, cj in itertools.combinations(live, 2):
-        max_whole = max(max_whole, abs(float(np.trace(ci @ cj).real)))
-    for lab in frag:
-        if len(frag) == 1:
-            subs = live
-        else:
-            subs = [partial_trace(c, [lab]).matrix
-                    for c in ens.conditional_states if c is not None]
-        for a, b in itertools.combinations(subs, 2):
-            max_sub = max(max_sub, abs(float(np.trace(a @ b).real)))
+    max_whole = _max_overlap(ens.live()[1])
+    max_sub = max(_max_overlap([partial_trace(c, [lab]).matrix
+                                for c in ens.conditional_states if c is not None])
+                  for lab in ens.fragment)
     whole_ok = max_whole <= TOL_OVERLAP
     sub_ok = max_sub <= TOL_OVERLAP
 
@@ -320,6 +309,17 @@ def _independence(rho: DensityMatrix, system: str,
     return IndependenceVerdict(worst <= TOL_CMI, worst_pair, worst, TOL_CMI)
 
 
+def _verdicts(rho: DensityMatrix, system: str, fragment: tuple[str, ...],
+              subfragments: Sequence[Sequence[str]] | None, opt: OptimizerConfig,
+              optimize_acc_lower: bool
+              ) -> tuple[PointerEnsemble, SqdVerdict, IndependenceVerdict | None, SbsVerdict]:
+    """The pointer ensemble of (system, fragment) and the three verdicts read from it."""
+    ens = pointer_ensemble(rho, system, fragment)
+    sqd = _strong_darwinism(ens, subfragments, opt, optimize_acc_lower)
+    independence = _independence(rho, system, fragment)
+    return ens, sqd, independence, _broadcast_structure(ens, independence)
+
+
 @dataclass(frozen=True)
 class TheoremWitness:
     """Joint verdicts plus the consistency flag for the equivalence
@@ -355,11 +355,10 @@ def verify_equivalence(rho: DensityMatrix, system: str,
     Verdicts whose deciding diagnostics sit within a factor of the tolerance,
     or whose pointer basis is ambiguous, are flagged borderline.
     """
-    ens = pointer_ensemble(rho, system, _fragment(rho, subenvironments))
-    subfrags = [[l] for l in ens.fragment] if len(ens.fragment) > 1 else None
-    sqd = _strong_darwinism(ens, subfrags, opt, optimize_acc_lower)
-    independence = _independence(rho, system, ens.fragment)
-    sbs = _broadcast_structure(ens, independence)
+    frag = _fragment(rho, subenvironments)
+    subfrags = [[l] for l in frag] if len(frag) > 1 else None
+    ens, sqd, independence, sbs = _verdicts(rho, system, frag, subfrags, opt,
+                                            optimize_acc_lower)
     si_holds = independence.holds if independence is not None else True
     consistent = sbs.holds == (sqd.holds and si_holds)
 
@@ -410,8 +409,10 @@ def broadcast_distance_bound(rho: DensityMatrix, system: str,
 
 
 def _distance_bound(ens: PointerEnsemble) -> float:
-    dephased = dephase_subsystem(ens.joint, ens.basis)
-    term1 = trace_norm(ens.joint.matrix - dephased.matrix)
+    # rho_SF minus its dephased self is the array of off-diagonal pointer blocks
+    d_s, _, d_f, _ = ens.blocks.shape
+    off = ens.blocks * (1.0 - np.eye(d_s))[:, :, None, None]
+    term1 = trace_norm(off.transpose(0, 2, 1, 3).reshape(d_s * d_f, -1))
     ps, cs = ens.live()
     term2 = 0.0
     for (pi, ci), (pj, cj) in itertools.combinations(zip(ps, cs), 2):
@@ -660,10 +661,8 @@ def analyze(rho: DensityMatrix, system: str,
             opt: OptimizerConfig = DEFAULT_OPT,
             seed: int | None = None) -> ObjectivityReport:
     """Full objectivity report: all measures, verdicts, and diagnostics."""
-    ens = pointer_ensemble(rho, system, _fragment(rho, fragment))
-    sqd = _strong_darwinism(ens, subfragments, opt, optimize_acc_lower=True)
-    independence = _independence(rho, system, ens.fragment)
-    sbs = _broadcast_structure(ens, independence)
+    ens, sqd, independence, sbs = _verdicts(rho, system, _fragment(rho, fragment),
+                                            subfragments, opt, optimize_acc_lower=True)
     try:
         m_sqd: float | None = _deficit(ens)
         reason = None

@@ -112,3 +112,50 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     t = np.einsum(rho.reshape(tuple(dims) * 2), list(range(n)) + cols,
                   [*keep, *(n + i for i in keep)])
     return t.reshape(d, d)
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Square-root fidelity ||sqrt(a) sqrt(b)||_1, as the trace norm of A^dagger B
+    for factors a = A A^dagger and b = B B^dagger that keep the eigenvalues above
+    d * eps * lambda_max (those below are rounding)."""
+
+    def factor(m):
+        w, v = np.linalg.eigh(m)
+        keep = w > m.shape[0] * np.finfo(float).eps * w[-1]
+        return v[:, keep] * np.sqrt(w[keep])
+
+    return float(np.linalg.svd(factor(a).conj().T @ factor(b), compute_uv=False).sum())
+
+
+def block_split(rho: np.ndarray, d_sys: int, kets) -> dict:
+    """Pointer-block split of a system-first joint state at the pointer ``kets``.
+
+    Each block <i|rho|j> is (<i| x 1) rho (|j> x 1) with an explicit Kronecker
+    isometry, and the dephased state is sum_i P_i rho P_i with P_i = |i><i| x 1.
+    Returns the largest off-diagonal block norm, the trace norm of rho minus its
+    dephased self, the largest whole-fragment overlap tr(rho_i rho_j) of the
+    normalized conditionals, and the fidelity sum 2 sqrt(p_i p_j) F(rho_i, rho_j)
+    over pairs of branches with p > 1e-12.
+    """
+    d_frag = rho.shape[0] // d_sys
+    isos = [np.kron(k.conj()[None, :], np.eye(d_frag)) for k in kets]
+    projs = [np.kron(np.outer(k, k.conj()), np.eye(d_frag)) for k in kets]
+    n = len(kets)
+    offdiag = max(np.linalg.norm(isos[i] @ rho @ isos[j].conj().T)
+                  for i in range(n) for j in range(i + 1, n))
+    dephased = sum(p @ rho @ p for p in projs)
+    branches = []
+    for iso in isos:
+        block = iso @ rho @ iso.conj().T
+        p = float(block.trace().real)
+        if p > 1e-12:
+            branches.append((p, block / p))
+    overlap, fid_sum = 0.0, 0.0
+    for a in range(len(branches)):
+        for b in range(a + 1, len(branches)):
+            (pa, ca), (pb, cb) = branches[a], branches[b]
+            overlap = max(overlap, abs(float(np.trace(ca @ cb).real)))
+            fid_sum += 2.0 * np.sqrt(pa * pb) * fidelity(ca, cb)
+    return {"offdiag": float(offdiag),
+            "trace_norm": float(np.abs(np.linalg.eigvalsh(rho - dephased)).sum()),
+            "overlap": overlap, "fidelity_sum": float(fid_sum)}

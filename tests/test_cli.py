@@ -209,6 +209,17 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["analyze", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--max-refine-iter", "-1"],
+        ["--restarts", "0"],
+    ], ids=["negative-max-refine-iter", "zero-restarts"])
+    def test_bad_input_exits_2(self, tmp_path, args):
+        st = tmp_path / "st.json"
+        qd.save_state(qd.make_random_density(1, qd.std_layout(2, [3])), str(st))
+        out = tmp_path / "rep.json"
+        assert run(["analyze", str(st), *args, "-o", str(out)]) == 2
+        assert not out.exists()
+
     def test_tol_num_is_appendix_c_only(self, tmp_path):
         st = tmp_path / "st.json"
         qd.save_state(qd.make_horodecki(0.3), str(st))
@@ -267,6 +278,15 @@ class TestScan:
         run(["make", "ghz", "--n", "2", "-o", str(st)])
         assert run(["scan", str(st), "--delta", "0.1",
                     "--out-csv", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_samples_exits_2(self, tmp_path, samples):
+        st = tmp_path / "ghz.json"
+        run(["make", "ghz", "--n", "2", "-o", str(st)])
+        out = tmp_path / "x.csv"
+        assert run(["scan", str(st), "--delta", "0.1", "--seed", "1",
+                    "--samples", samples, "--out-csv", str(out)]) == 2
+        assert not out.exists()
 
     def test_seeded_scan_is_bit_reproducible(self, tmp_path):
         st = tmp_path / "haar.json"

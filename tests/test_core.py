@@ -10,6 +10,7 @@ import qdarwin as qd
 from qdarwin import errors
 from qdarwin.zoo import horodecki_p_tilde
 
+import oracles
 from conftest import random_state
 
 
@@ -234,35 +235,35 @@ class TestMeasureSubsystem:
 
 
 class TestDephase:
+    """The first term of the distance bound eta is the trace norm of rho_SF minus
+    its dephased self, read from the off-diagonal pointer blocks."""
+
     def test_diagonal_state_unchanged(self):
         rho = qd.make_ghz_reduced(2)
         meas = qd.ProjectiveMeasurement.computational("S", 2)
-        assert np.allclose(qd.dephase_subsystem(rho, meas).matrix, rho.matrix,
-                           atol=1e-12)
+        assert qd.broadcast_distance_bound(rho, "S", pointer=meas) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_bell_dephasing(self):
-        out = qd.dephase_subsystem(
-            bell_state(), qd.ProjectiveMeasurement.computational("S", 2))
-        expected = np.zeros((4, 4))
-        expected[0, 0] = expected[3, 3] = 0.5
-        assert np.allclose(out.matrix, expected, atol=1e-12)
+        meas = qd.ProjectiveMeasurement.computational("S", 2)
+        assert qd.broadcast_distance_bound(bell_state(), "S", pointer=meas) == pytest.approx(
+            1.0, abs=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_idempotent_and_trace_preserving(self, seed):
+        """eta equals the dense dephasing term plus the fidelity sum."""
         rho = random_state(seed)
         meas = qd.ProjectiveMeasurement.computational("S", rho.layout.dim_of("S"))
-        once = qd.dephase_subsystem(rho, meas)
-        twice = qd.dephase_subsystem(once, meas)
-        assert np.allclose(once.matrix, twice.matrix, atol=1e-12)
-        assert once.matrix.trace().real == pytest.approx(1.0, abs=1e-9)
+        want = oracles.block_split(rho.matrix, rho.layout.dim_of("S"), meas.basis.T)
+        assert qd.broadcast_distance_bound(rho, "S", pointer=meas) == pytest.approx(
+            want["trace_norm"] + want["fidelity_sum"], abs=1e-10)
 
     def test_dephase_in_nonpointer_basis_changes_state(self):
         rho = qd.make_ghz_reduced(1)
         had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         meas = qd.ProjectiveMeasurement.from_vectors("S", had)
-        out = qd.dephase_subsystem(rho, meas)
-        assert not np.allclose(out.matrix, rho.matrix, atol=1e-6)
+        assert qd.broadcast_distance_bound(rho, "S", pointer=meas) > 1e-6
 
 
 class TestMeasurementValidation:

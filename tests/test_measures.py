@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import qdarwin as qd
 from qdarwin import errors
 from qdarwin.measures import classical_mutual_information, common_eigenbasis
-from qdarwin.zoo import horodecki_holevo_closed_form
+from qdarwin.zoo import haar_random_unitary, horodecki_holevo_closed_form
 
 import oracles
 from conftest import random_state
@@ -145,6 +145,15 @@ class TestFidelity:
         a = qd.validate_density_matrix(np.diag([1.0, 0.0]), layout)
         b = qd.validate_density_matrix(np.diag([0.0, 1.0]), layout)
         assert qd.fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_orthogonal_pure_states_in_a_large_space(self, dim):
+        # |a><a| formed in floating point has eigenvalues of about 1e-17 besides
+        # the 1; their square roots must not enter the fidelity
+        u = haar_random_unitary(np.random.default_rng(dim), dim)
+        a, b = (np.outer(u[:, k], u[:, k].conj()) for k in (0, 1))
+        assert qd.fidelity(a, b) <= 1e-12
+        assert qd.fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vs_plus(self):
         layout = qd.SubsystemLayout.of(("S", 2), system="S")

@@ -115,6 +115,19 @@ class TestBroadcastDetector:
         assert v.pointer_degenerate
         assert v.holds
 
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [1 / 3] * 3])
+    def test_refined_pointer_does_not_depend_on_rounding(self, probs):
+        # inside a degenerate cluster of rho_S the pointer columns are ordered by
+        # the probes that split it, not by rounding: a 1e-14 Hermitian
+        # perturbation of the state leaves the reported basis in place
+        for seed in range(5):
+            rho = qd.make_cq_state(seed, probs, 0.0, n_subenvs=2)
+            noise = np.random.default_rng(seed).standard_normal(rho.matrix.shape) * 1e-14
+            nudged = qd.validate_density_matrix(rho.matrix + noise + noise.T, rho.layout)
+            a = qd.detect_broadcast_structure(rho, "S").pointer.basis
+            b = qd.detect_broadcast_structure(nudged, "S").pointer.basis
+            assert np.max(np.abs(a - b)) <= 1e-9, seed
+
     def test_verdict_always_returned(self):
         rho = random_state(17)
         v = qd.detect_broadcast_structure(rho, "S")

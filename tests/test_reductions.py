@@ -104,6 +104,29 @@ def test_ensemble_values_match_dense_oracle(name):
         assert np.max(np.abs(np.subtract(got, want))) <= TOL, frag
 
 
+@pytest.mark.parametrize("name", list(STATES))
+def test_block_split_matches_dense_oracle(name):
+    """The broadcast detector's block norms and overlaps at its own pointer, and
+    eta at the canonical pointer, read from the pointer blocks W_i W_j^dagger,
+    agree with a dense split of the (system, environment) reduction."""
+    rho = STATES[name]()
+    m = positive_part(rho.matrix) if name == "negative-eigenvalue" else rho.matrix
+    labels, dims = rho.layout.labels, rho.layout.dims
+    system = rho.layout.system
+    joint = oracles.partial_trace(
+        m, dims, [labels.index(l) for l in (system, *rho.layout.environment_labels)])
+    d_s = rho.layout.dim_of(system)
+
+    sbs = qd.detect_broadcast_structure(rho, system)
+    want = oracles.block_split(joint, d_s, sbs.pointer.basis.T)
+    assert abs(sbs.max_offdiagonal_block_norm - want["offdiag"]) <= TOL
+    assert abs(sbs.max_whole_fragment_overlap - want["overlap"]) <= TOL
+
+    want = oracles.block_split(joint, d_s, qd.pointer_basis(rho, system).basis.T)
+    assert abs(qd.broadcast_distance_bound(rho, system)
+               - (want["trace_norm"] + want["fidelity_sum"])) <= TOL
+
+
 class TestFactor:
     def test_validation_cuts_the_rank(self):
         rho = qd.make_random_density(4, qd.std_layout(2, [2, 2]), rank=2)

@@ -20,13 +20,15 @@ import qdarwin as qd
 
 
 def scan_state(rho, system="S"):
-    """Mean chi, discord, and mutual information per fragment fraction."""
+    """Mean chi, discord, and mutual information per fragment fraction, every
+    fragment read at one pointer basis."""
     subenvs = [l for l in rho.layout.labels if l != system]
+    basis = qd.pointer_basis(rho, system)
     rows = []
     for size in range(1, len(subenvs) + 1):
         chis, discords, mis = [], [], []
         for frag in itertools.combinations(subenvs, size):
-            ens = qd.pointer_ensemble(rho, system, frag)
+            ens = qd.pointer_ensemble(rho, system, frag, basis)
             chis.append(ens.holevo)
             discords.append(ens.discord)
             mis.append(ens.mutual_information)

@@ -28,7 +28,6 @@ from .measures import (
     mutual_information,
     pointer_basis,
     pointer_ensemble,
-    trace_distance,
     von_neumann_entropy,
 )
 from .objectivity import (

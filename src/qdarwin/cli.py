@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import zoo
-from .core import EPS_NUM, EPS_OPT, DensityMatrix, SubsystemLayout, load_state, save_state
+from .core import (EPS_NUM, EPS_OPT, DensityMatrix, ProjectiveMeasurement, SubsystemLayout,
+                   eig_hermitian, load_state, partial_trace, save_state)
 from .errors import OptimizerDidNotConverge, QDarwinError
 from .measures import pointer_ensemble
 from .objectivity import analyze, objectivity_deficit, redundancy, verify_equivalence
@@ -88,6 +90,15 @@ def _numbers(raw: str, cast, flag: str) -> list:
         return [cast(x) for x in raw.split(",")]
     except ValueError:
         raise UsageError(f"{flag} must be comma-separated numbers, got {raw!r}") from None
+
+
+def _check_bounds(args) -> None:
+    """Tolerances must be finite and positive, a perturbation finite and >= 0."""
+    for flag, positive in (("tol_opt", True), ("tol_num", True), ("perturbation", False)):
+        value = getattr(args, flag, 1.0)
+        if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite and "
+                             f"{'positive' if positive else 'non-negative'}, got {value}")
 
 
 def _require_seed(args) -> int:
@@ -263,10 +274,12 @@ def cmd_appendix_c(args) -> int:
     worst_mi = (0.0, None)
     for p in ps:
         rho = zoo.make_horodecki(float(p))
-        ens = pointer_ensemble(rho, "S", ["E1"])
+        # the closed form is chi at sigma_z, also at the degenerate p = 0.5
+        _, kets = eig_hermitian(partial_trace(rho, ["S"]).matrix)
+        ens = pointer_ensemble(rho, "S", ["E1"], ProjectiveMeasurement("S", kets))
         h_s, mi, chi = ens.h_s, ens.mutual_information, ens.holevo
         closed = zoo.horodecki_holevo_closed_form(float(p))
-        m = objectivity_deficit(rho, "S", ["E1"])
+        m = objectivity_deficit(rho, "S", ["E1"], ens.basis)
         lines.append(",".join(_fmt(x) for x in (p, h_s, mi, chi, closed, ens.discord, m)))
         if abs(chi - closed) > worst_chi[0]:
             worst_chi = (abs(chi - closed), float(p))
@@ -363,6 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

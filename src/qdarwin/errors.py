@@ -51,15 +51,8 @@ class NotOrthonormal(QDarwinError, ValueError):
 
 
 class OverlappingParts(QDarwinError, ValueError):
-    """Label sets passed to an information measure are not disjoint."""
-
-
-class OverlappingSubfragments(QDarwinError, ValueError):
-    """Subfragments passed to an objectivity check share labels."""
-
-
-class OverlappingSupports(QDarwinError, ValueError):
-    """Branch supports of a broadcast-structure spec are not disjoint."""
+    """Parts that must be disjoint overlap: the label sets of an information
+    measure, the subfragments of a check, or the branch supports of a spec."""
 
 
 class NeedTwoSubenvironments(QDarwinError, ValueError):

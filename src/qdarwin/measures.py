@@ -11,18 +11,12 @@ which the broadcast detector and the distance bound read, the conditionals
 and rho_F are formed only when read.  I(S:F), the Holevo quantity chi, the
 discord and the accessible-information bracket are read from the
 :class:`PointerEnsemble`.
-Two rules choose its basis:
 
-* chi, I, discord, the deficit ``M``, the distance bound ``eta`` and the
-  redundancy use the canonical eigenbasis of rho_S (``basis=None``);
-* the broadcast detector, only when rho_S is degenerate, passes a basis
-  refined against fragment probe operators on the same reduction.
-
-The rules differ where rho_S is degenerate: for the two-qubit counterexample
-family at p = 0.5, a point of the closed-form regression grid, the refined
-basis gives chi = 1 bit where the canonical basis and the closed form give 0.
-Measurement optimization happens on the fragment side, in the
-accessible-information lower bound.
+One rule chooses its basis: the canonical eigenbasis of rho_S, any degenerate
+cluster refined against fragment probes of the same factor.  Inside a cluster
+every basis gives the same H(S^Pi), so every measure and verdict reads the one
+observable the fragment records.  Measurement optimization happens on the
+fragment side, in the accessible-information lower bound.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +37,7 @@ from .core import (
     TOL_PROB,
     DensityMatrix,
     ProjectiveMeasurement,
+    canonical_phases,
     eig_hermitian,
     gram_spectrum,
     partial_trace,
@@ -137,13 +132,6 @@ def conditional_mutual_information(rho: DensityMatrix, part_a: Sequence[str],
     return value
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference, via eigenvalues of (a - b)."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    return 0.5 * trace_norm(a.matrix - b.matrix)
-
-
 def trace_norm(matrix: np.ndarray) -> float:
     """Sum of |eigenvalues| of the Hermitian part; every caller passes a
     difference of Hermitian operators."""
@@ -170,9 +158,33 @@ def fidelity(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> fl
 
 
 def pointer_basis(rho: DensityMatrix, system: str) -> ProjectiveMeasurement:
-    """Canonical eigenbasis of the reduced system state."""
-    _, vecs = eig_hermitian(partial_trace(rho, [system]).matrix)
-    return ProjectiveMeasurement(system, vecs)
+    """The pointer basis of :func:`pointer_ensemble`, refined against every other
+    factor: one observable for every fragment of a scan."""
+    w = reduced_factor(rho, (system, *(l for l in rho.layout.labels if l != system)))
+    return _pointer(system, partial_trace(rho, [system]).matrix, w)[1]
+
+
+def _pointer(system: str, rho_s: np.ndarray, w: np.ndarray
+             ) -> tuple[np.ndarray, ProjectiveMeasurement]:
+    """Eigenvalues of rho_S, descending, and the canonical eigenbasis with its
+    degenerate clusters refined against the probes of the (S, F) factor ``w``."""
+    eigenvalues, vecs = eig_hermitian(rho_s)
+    if np.any(eigenvalues[:-1] - eigenvalues[1:] < DEGENERACY_GAP):
+        vecs = canonical_phases(common_eigenbasis(_probe_stacks(rho_s, w)))
+    return eigenvalues, ProjectiveMeasurement(system, vecs)
+
+
+def _probe_stacks(rho_s: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
+    """-rho_S, which orders the clusters by descending rho_S, then one stack per
+    fragment row m: the Hermitian and anti-Hermitian parts of the probes
+    (1 x <m|) rho_SF (1 x |k>) = A_m A_k^dagger, k >= m, A_m the (S, m) slice of ``w``."""
+    d_s = rho_s.shape[0]
+    yield -rho_s[None]
+    a = w.reshape(d_s, -1, w.shape[1]).transpose(1, 0, 2)  # A_m as [m, s, c]
+    for m in range(a.shape[0]):
+        t = np.einsum("sc,ktc->kst", a[m], a[m:].conj())
+        t_dag = t.conj().transpose(0, 2, 1)
+        yield np.stack([t + t_dag, 1j * (t - t_dag)], axis=1).reshape(-1, d_s, d_s)
 
 
 def branch_decomposition(rho: DensityMatrix, system: str,
@@ -202,7 +214,6 @@ class PointerEnsemble:
     system: str
     fragment: tuple[str, ...]
     state: DensityMatrix
-    rho_s: np.ndarray
     eigenvalues: np.ndarray
     basis: ProjectiveMeasurement
     probabilities: np.ndarray
@@ -278,7 +289,7 @@ class PointerEnsemble:
         if not cs:
             return AccessibleInfoBounds(0.0, chi, True, False)
         if all(np.linalg.norm(ci @ cj - cj @ ci) < TAU_COMM for ci, cj in combinations(cs, 2)):
-            lower = classical_mutual_information(ps, cs, common_eigenbasis(cs))
+            lower = classical_mutual_information(ps, cs, common_eigenbasis([np.stack(cs)]))
             return AccessibleInfoBounds(lower, chi, True, False)
         if not optimize_lower:
             _, vecs = eig_hermitian(self.rho_f)
@@ -294,9 +305,9 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
                      basis: ProjectiveMeasurement | None = None) -> PointerEnsemble:
     """Split the (system, fragment) reduction's factor into pointer branches.
 
-    ``basis`` defaults to the canonical eigenbasis of rho_S; the broadcast
-    detector passes its refined basis when rho_S is degenerate.  A given basis
-    needs only the eigenvalues of rho_S.
+    ``basis`` defaults to the canonical eigenbasis of rho_S, its degenerate
+    clusters refined against this fragment's probes (:func:`_probe_stacks`).  A
+    given basis needs only the eigenvalues of rho_S.
     """
     frag = rho.layout.require(fragment)
     if system in frag:
@@ -306,8 +317,7 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
     w_s = w.reshape(d_s, -1)
     rho_s = w_s @ w_s.conj().T
     if basis is None:
-        eigenvalues, vecs = eig_hermitian(rho_s)
-        basis = ProjectiveMeasurement(system, vecs)
+        eigenvalues, basis = _pointer(system, rho_s, w)
     elif basis.basis.shape[0] != d_s:
         raise DimensionMismatch(
             f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
@@ -318,7 +328,7 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
     probs = np.einsum("ijk,ijk->i", branches.conj(), branches).real
     h_f_given_s = sum(float(p) * _spectrum_entropy(gram_spectrum(b) / p)
                       for b, p in zip(branches, probs) if p > TOL_PROB)
-    return PointerEnsemble(system, frag, rho, rho_s, eigenvalues, basis, probs, branches,
+    return PointerEnsemble(system, frag, rho, eigenvalues, basis, probs, branches,
                            _spectrum_entropy(eigenvalues), _entropy_of_labels(rho, frag),
                            _entropy_of_labels(rho, (system, *frag)), float(h_f_given_s))
 
@@ -371,34 +381,38 @@ def _classical_mi(probs: np.ndarray, cond_stack: np.ndarray, bases: np.ndarray
     return values, np.einsum("njra,rna->rja", rho_u, probs[:, None] * log_ratio)
 
 
-def common_eigenbasis(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Simultaneous eigenbasis of (near-)commuting Hermitian matrices.
-
-    Diagonalizes the first matrix, then refines each degenerate cluster with the
-    projections of the remaining matrices; eigenvalues closer than
-    ``DEGENERACY_GAP`` stay one cluster.  Deterministic given the input order.
-    """
-    dim = mats[0].shape[0]
-    basis = np.eye(dim, dtype=complex)
-    clusters = [list(range(dim))]
-    for m in mats:
-        new_clusters: list[list[int]] = []
-        for cluster in clusters:
-            if len(cluster) == 1:
-                new_clusters.append(cluster)
-                continue
+def common_eigenbasis(stacks: Iterable[np.ndarray]) -> np.ndarray:
+    """Simultaneous eigenbasis of (near-)commuting Hermitian matrices, read from
+    (n, d, d) stacks in order.  Each cluster, first the identity's, is rotated by
+    the first matrix whose projection splits it (eigenvalues closer than
+    ``DEGENERACY_GAP`` stay together); the parts go on from the next matrix.
+    Reading stops once every cluster is one vector."""
+    basis: np.ndarray | None = None
+    open_clusters: list[list[int]] = []
+    for stack in stacks:
+        if basis is None:
+            basis = np.eye(stack.shape[1], dtype=complex)
+            open_clusters = [list(range(stack.shape[1]))]
+        pending = [(cluster, 0) for cluster in open_clusters]
+        open_clusters = []
+        while pending:
+            cluster, start = pending.pop()
             sub = basis[:, cluster]
-            proj = sub.conj().T @ m @ sub
-            w, v = np.linalg.eigh((proj + proj.conj().T) / 2.0)
+            proj = sub.conj().T @ stack[start:] @ sub
+            proj = (proj + proj.conj().transpose(0, 2, 1)) / 2.0
+            splits = np.any(np.diff(np.linalg.eigvalsh(proj), axis=1) >= DEGENERACY_GAP,
+                            axis=1)
+            if not splits.any():
+                open_clusters.append(cluster)
+                continue
+            j = int(np.argmax(splits))
+            w, v = np.linalg.eigh(proj[j])
             basis[:, cluster] = sub @ v
-            start = 0
-            while start < len(cluster):
-                stop = start + 1
-                while stop < len(cluster) and w[stop] - w[stop - 1] < DEGENERACY_GAP:
-                    stop += 1
-                new_clusters.append(cluster[start:stop])
-                start = stop
-        clusters = new_clusters
+            cuts = [0, *(np.flatnonzero(np.diff(w) >= DEGENERACY_GAP) + 1), len(cluster)]
+            pending += [(cluster[lo:hi], start + j + 1)
+                        for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1]
+        if not open_clusters:
+            break
     return basis
 
 

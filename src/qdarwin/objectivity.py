@@ -3,7 +3,9 @@
 Three detectors (strong Darwinism, broadcast structure, strong independence),
 the equivalence check tying them together, the normalized objectivity deficit,
 the computable distance bound to broadcast-structured states, and redundancy
-scans over environment fragments.
+scans over environment fragments.  All of them read one pointer basis
+(:func:`qdarwin.measures.pointer_ensemble`), subfragments and scanned fragments
+included; a fragment defaults to every factor except the system.
 """
 
 from __future__ import annotations
@@ -24,19 +26,18 @@ from .core import (
     TOL_PROB,
     DensityMatrix,
     ProjectiveMeasurement,
-    canonical_phases,
     partial_trace,
 )
 from .errors import (
     DegenerateSystemEntropy,
     DeltaOutOfRange,
     NeedTwoSubenvironments,
-    OverlappingSubfragments,
+    OverlappingParts,
 )
 from .measures import (
     AccessibleInfoBounds,
     PointerEnsemble,
-    common_eigenbasis,
+    _disjoint,
     conditional_mutual_information,
     entropy_bits,
     fidelity,
@@ -100,10 +101,11 @@ class SqdVerdict:
         }
 
 
-def _fragment(rho: DensityMatrix, fragment: Sequence[str] | None) -> tuple[str, ...]:
-    """The fragment in layout order; every environment factor when None."""
+def _fragment(rho: DensityMatrix, system: str,
+              fragment: Sequence[str] | None) -> tuple[str, ...]:
+    """The fragment in layout order; every factor except ``system`` when None."""
     return rho.layout.require(
-        rho.layout.environment_labels if fragment is None else fragment)
+        [l for l in rho.layout.labels if l != system] if fragment is None else fragment)
 
 
 def check_strong_darwinism(rho: DensityMatrix, system: str,
@@ -115,10 +117,11 @@ def check_strong_darwinism(rho: DensityMatrix, system: str,
     and every listed subfragment.
 
     A system with zero entropy carries no information and the condition holds
-    trivially.  The accessible information is certified exact only when the
-    pointer-basis ensemble commutes; otherwise the verdict reports a bracket.
+    trivially.  Subfragments are read at the fragment's pointer basis.  The
+    accessible information is certified exact only when the pointer-basis
+    ensemble commutes; otherwise the verdict reports a bracket.
     """
-    ens = pointer_ensemble(rho, system, _fragment(rho, fragment))
+    ens = pointer_ensemble(rho, system, _fragment(rho, system, fragment))
     return _strong_darwinism(ens, subfragments, opt, optimize_acc_lower)
 
 
@@ -126,14 +129,10 @@ def _strong_darwinism(ens: PointerEnsemble,
                       subfragments: Sequence[Sequence[str]] | None,
                       opt: OptimizerConfig, optimize_acc_lower: bool) -> SqdVerdict:
     subfragments = [list(s) for s in (subfragments or [])]
-    seen: set[str] = set()
+    _disjoint(*subfragments)
     for sf in subfragments:
-        s = set(sf)
-        if s & seen:
-            raise OverlappingSubfragments(f"subfragments overlap on {sorted(s & seen)}")
-        if not s <= set(ens.fragment):
-            raise OverlappingSubfragments(f"subfragment {sf} is not inside the fragment")
-        seen |= s
+        if not set(sf) <= set(ens.fragment):
+            raise OverlappingParts(f"subfragment {sf} is not inside the fragment")
 
     h_s = ens.h_s
     equality = opt.eps_opt
@@ -148,7 +147,7 @@ def _strong_darwinism(ens: PointerEnsemble,
     holds = complete(ens)
     checks = []
     for sf in subfragments:
-        sub = pointer_ensemble(ens.state, ens.system, sf)
+        sub = pointer_ensemble(ens.state, ens.system, sf, ens.basis)
         sf_holds = complete(sub)
         holds = holds and sf_holds
         checks.append(SubfragmentCheck(tuple(sf), sf_holds, sub.mutual_information,
@@ -199,38 +198,18 @@ class SbsVerdict:
         }
 
 
-def _refined_pointer(ens: PointerEnsemble) -> ProjectiveMeasurement:
-    """Canonical eigenbasis of a degenerate rho_S with its degenerate clusters
-    refined by simultaneous diagonalization against the fragment probes
-    (1 x <m|) rho_SF (1 x |k>), operators on S in its computational basis."""
-    kets = ens.basis.basis
-    t = np.einsum("ai,ijmk,bj->mkab", kets, ens.blocks, kets.conj())
-    d_f = t.shape[0]
-    # -rho_S first: its clusters come out in descending rho_S order, and each
-    # keeps the order the probes that split it give
-    probes: list[np.ndarray] = [-ens.rho_s]
-    for m in range(d_f):
-        for k in range(m, d_f):
-            block = t[m, k]
-            probes.append(block + block.conj().T)
-            if k > m:
-                probes.append(1j * (block - block.conj().T))
-    basis = common_eigenbasis(probes)
-    return ProjectiveMeasurement(ens.system, canonical_phases(basis))
-
-
 def detect_broadcast_structure(rho: DensityMatrix, system: str,
                                fragment: Sequence[str] | None = None) -> SbsVerdict:
     """Detect the broadcast form sum_i p_i |i><i| x rho_i^E1 x ... with
     perfectly distinguishable conditionals on every subenvironment.
 
-    Stages: (1) pointer candidate from the system marginal, (2) vanishing
-    off-diagonal blocks, (3) vanishing pairwise conditional overlaps, per
-    subenvironment and for the whole fragment, (4) product structure across
-    subenvironments, which is the strong-independence check.  A verdict is
-    always returned; nothing raises on failure.
+    Stages: (1) the ensemble's pointer basis, (2) vanishing off-diagonal
+    blocks, (3) vanishing pairwise conditional overlaps, per subenvironment
+    and for the whole fragment, (4) product structure across subenvironments,
+    which is the strong-independence check.  A verdict is always returned;
+    nothing raises on failure.
     """
-    ens = pointer_ensemble(rho, system, _fragment(rho, fragment))
+    ens = pointer_ensemble(rho, system, _fragment(rho, system, fragment))
     independence = _independence(rho, system, ens.fragment)
     return _broadcast_structure(ens, independence)
 
@@ -243,10 +222,6 @@ def _max_overlap(states: Sequence[np.ndarray]) -> float:
 
 def _broadcast_structure(ens: PointerEnsemble,
                          independence: IndependenceVerdict | None) -> SbsVerdict:
-    degenerate = ens.gap < DEGENERACY_GAP
-    if degenerate:
-        ens = pointer_ensemble(ens.state, ens.system, ens.fragment,
-                               basis=_refined_pointer(ens))
     max_offdiag = max(float(np.linalg.norm(ens.blocks[i, j]))
                       for i, j in itertools.combinations(range(len(ens.probabilities)), 2))
     cq_ok = max_offdiag <= TOL_OFFDIAG
@@ -265,7 +240,7 @@ def _broadcast_structure(ens: PointerEnsemble,
     holds = cq_ok and sub_ok and product_ok
     return SbsVerdict(holds, ens.basis, tuple(float(p) for p in ens.probabilities),
                       max_offdiag, max_sub, max_whole, max_cmi,
-                      bipartite, bipartite and not holds, degenerate,
+                      bipartite, bipartite and not holds, ens.gap < DEGENERACY_GAP,
                       cq_ok, sub_ok, product_ok)
 
 
@@ -287,7 +262,7 @@ def check_strong_independence(rho: DensityMatrix, system: str,
                               subenvironments: Sequence[str] | None = None
                               ) -> IndependenceVerdict:
     """All pairwise I(E_j:E_k|S) must vanish within tolerance."""
-    subenvs = _fragment(rho, subenvironments)
+    subenvs = _fragment(rho, system, subenvironments)
     verdict = _independence(rho, system, subenvs)
     if verdict is None:
         raise NeedTwoSubenvironments(
@@ -355,7 +330,7 @@ def verify_equivalence(rho: DensityMatrix, system: str,
     Verdicts whose deciding diagnostics sit within a factor of the tolerance,
     or whose pointer basis is ambiguous, are flagged borderline.
     """
-    frag = _fragment(rho, subenvironments)
+    frag = _fragment(rho, system, subenvironments)
     subfrags = [[l] for l in frag] if len(frag) > 1 else None
     ens, sqd, independence, sbs = _verdicts(rho, system, frag, subfrags, opt,
                                             optimize_acc_lower)
@@ -381,13 +356,16 @@ def verify_equivalence(rho: DensityMatrix, system: str,
 
 
 def objectivity_deficit(rho: DensityMatrix, system: str,
-                        fragment: Sequence[str] | None = None) -> float:
-    """Normalized deficit (H(S) - chi + D) / 2H(S), clamped to [0, 1].
+                        fragment: Sequence[str] | None = None,
+                        pointer: ProjectiveMeasurement | None = None) -> float:
+    """Normalized deficit (H(S) - chi + D) / 2H(S), clamped to [0, 1], at
+    ``pointer`` (default the ensemble's pointer basis).
 
     Zero exactly on bipartite broadcast-structure states; undefined (raises)
     when the system entropy vanishes.
     """
-    return _deficit(pointer_ensemble(rho, system, _fragment(rho, fragment)))
+    frag = _fragment(rho, system, fragment)
+    return _deficit(pointer_ensemble(rho, system, frag, pointer))
 
 
 def _deficit(ens: PointerEnsemble) -> float:
@@ -404,8 +382,9 @@ def broadcast_distance_bound(rho: DensityMatrix, system: str,
                              pointer: ProjectiveMeasurement | None = None) -> float:
     """Computable bound on the trace distance to the broadcast-structure set:
     the full trace norm of (rho - dephased rho) plus the pairwise-fidelity sum
-    over ordered branch pairs, at ``pointer`` (default the canonical basis)."""
-    return _distance_bound(pointer_ensemble(rho, system, _fragment(rho, fragment), pointer))
+    over ordered branch pairs, at ``pointer`` (default the ensemble's pointer basis)."""
+    frag = _fragment(rho, system, fragment)
+    return _distance_bound(pointer_ensemble(rho, system, frag, pointer))
 
 
 def _distance_bound(ens: PointerEnsemble) -> float:
@@ -525,8 +504,8 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
     if strategy not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    # the pointer basis and distribution depend on rho_S alone: one basis serves
-    # every fragment, and any fragment gives the distribution
+    # one pointer basis, refined against every other factor, serves every
+    # fragment, and any fragment gives its distribution
     basis = pointer_basis(rho, system)
     h_pointer = entropy_bits(pointer_ensemble(rho, system, subenvs[:1], basis).probabilities)
     threshold = (1.0 - delta) * h_pointer - opt.eps_opt
@@ -661,7 +640,7 @@ def analyze(rho: DensityMatrix, system: str,
             opt: OptimizerConfig = DEFAULT_OPT,
             seed: int | None = None) -> ObjectivityReport:
     """Full objectivity report: all measures, verdicts, and diagnostics."""
-    ens, sqd, independence, sbs = _verdicts(rho, system, _fragment(rho, fragment),
+    ens, sqd, independence, sbs = _verdicts(rho, system, _fragment(rho, system, fragment),
                                             subfragments, opt, optimize_acc_lower=True)
     try:
         m_sqd: float | None = _deficit(ens)

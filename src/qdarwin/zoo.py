@@ -21,7 +21,7 @@ from .errors import (
     DimensionTooLarge,
     DimensionTooSmall,
     InvalidLayout,
-    OverlappingSupports,
+    OverlappingParts,
 )
 from .measures import entropy_bits
 
@@ -78,7 +78,7 @@ class SbsSpec:
                     raise DimensionTooSmall(
                         f"support index outside subenvironment dimension {dim}")
                 if used & set(sup):
-                    raise OverlappingSupports(
+                    raise OverlappingParts(
                         f"branch supports overlap on subenvironment {k + 1}")
                 used |= set(sup)
 

@@ -212,13 +212,34 @@ class TestAnalyze:
     @pytest.mark.parametrize("args", [
         ["--max-refine-iter", "-1"],
         ["--restarts", "0"],
-    ], ids=["negative-max-refine-iter", "zero-restarts"])
+        ["--tol-opt", "inf"],
+        ["--tol-opt", "-1"],
+        ["--tol-opt", "nan"],
+        ["--tol-opt", "0"],
+    ], ids=["negative-max-refine-iter", "zero-restarts", "infinite-tol-opt",
+            "negative-tol-opt", "nan-tol-opt", "zero-tol-opt"])
     def test_bad_input_exits_2(self, tmp_path, args):
         st = tmp_path / "st.json"
         qd.save_state(qd.make_random_density(1, qd.std_layout(2, [3])), str(st))
         out = tmp_path / "rep.json"
         assert run(["analyze", str(st), *args, "-o", str(out)]) == 2
         assert not out.exists()
+
+    def test_system_flag_picks_the_default_fragment(self, tmp_path):
+        st = tmp_path / "ghz3.json"
+        run(["make", "ghz", "--n", "3", "-o", str(st)])
+        rep = tmp_path / "rep.json"
+        assert run(["analyze", str(st), "--system", "E1", "-o", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["fragment"] == ["S", "E2", "E3"]
+        assert payload["strong_darwinism"]["holds"] is True
+        # a file without a system role: --system names it, the rest is the fragment
+        no_role = json.loads(st.read_text())
+        for entry in no_role["layout"]:
+            entry.pop("role")
+        st.write_text(json.dumps(no_role))
+        assert run(["analyze", str(st), "--system", "S", "-o", str(rep)]) == 0
+        assert json.loads(rep.read_text())["fragment"] == ["E1", "E2", "E3"]
 
     def test_tol_num_is_appendix_c_only(self, tmp_path):
         st = tmp_path / "st.json"
@@ -279,6 +300,13 @@ class TestScan:
         assert run(["scan", str(st), "--delta", "0.1",
                     "--out-csv", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tol_opt_exits_2(self, tmp_path, tol):
+        st = tmp_path / "ghz.json"
+        run(["make", "ghz", "--n", "2", "-o", str(st)])
+        assert run(["scan", str(st), "--delta", "0.1", "--seed", "1",
+                    "--tol-opt", tol]) == 2
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_bad_samples_exits_2(self, tmp_path, samples):
         st = tmp_path / "ghz.json"
@@ -331,6 +359,20 @@ class TestVerifyTheorem:
         cases = json.loads(rep.read_text())["cases"]
         assert [c["strong_darwinism"]["tolerance_bits"] for c in cases] == [0.5] * 8
 
+    @pytest.mark.parametrize("args", [
+        ["--perturbation", "nan"],
+        ["--perturbation", "inf"],
+        ["--perturbation=-1e-3"],
+        ["--tol-opt", "nan"],
+        ["--tol-opt", "-1"],
+    ], ids=["nan-perturbation", "infinite-perturbation", "negative-perturbation",
+            "nan-tol-opt", "negative-tol-opt"])
+    def test_bad_input_exits_2(self, tmp_path, args):
+        rep = tmp_path / "thm.json"
+        assert run(["verify-theorem", "--cases", "4", "--seed", "3", *args,
+                    "--report", str(rep)]) == 2
+        assert not rep.exists()
+
     @pytest.mark.parametrize("cap", ["1", "8"])
     def test_dims_cap_below_nine_exits_2(self, tmp_path, cap):
         rep = tmp_path / "thm.json"
@@ -352,6 +394,25 @@ class TestAppendixC:
         assert float(mid["H_S"]) == pytest.approx(1.0, abs=1e-9)
         assert float(mid["I"]) == pytest.approx(1.0, abs=1e-9)
         assert float(mid["chi_bits"]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_canonical_basis_at_the_degenerate_point(self, tmp_path):
+        # rho_S = I/2 at p = 0.5: the closed form is chi at the sigma_z basis, 0,
+        # not the 1 bit of the probe-refined pointer basis
+        out = tmp_path / "c.csv"
+        assert run(["appendix-c", "--grid-points", "3", "--out-csv", str(out)]) == 0
+        mid = list(csv.DictReader(out.read_text().splitlines()))[1]
+        assert float(mid["p"]) == pytest.approx(0.5)
+        assert float(mid["chi_bits"]) == pytest.approx(0.0, abs=1e-9)
+        assert float(mid["discord"]) == pytest.approx(1.0, abs=1e-9)
+        assert float(mid["m_sqd"]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("flag", ["--tol-num", "--tol-opt"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_tolerance_exits_2(self, tmp_path, flag, value):
+        out = tmp_path / "c.csv"
+        assert run(["appendix-c", "--grid-points", "3", flag, value,
+                    "--out-csv", str(out)]) == 2
+        assert not out.exists()
 
     def test_grid_too_small_exits_2(self, tmp_path):
         assert run(["appendix-c", "--grid-points", "2",

@@ -62,7 +62,7 @@ class TestStrongDarwinism:
 
     def test_overlapping_subfragments_rejected(self):
         rho = qd.make_ghz_reduced(3)
-        with pytest.raises(errors.OverlappingSubfragments):
+        with pytest.raises(errors.OverlappingParts):
             qd.check_strong_darwinism(rho, "S", ["E1", "E2"],
                                       subfragments=[["E1"], ["E1", "E2"]])
 
@@ -201,16 +201,29 @@ class TestEquivalence:
         assert w.borderline
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_degenerate_pointer_splits_chi_and_broadcast_bases(self, seed):
-        # rho_S = I/2: chi is read in the canonical eigenbasis, the broadcast
-        # detector in the probe-refined one, so the verdicts disagree and only
-        # the pointer-gap flag keeps the case from counting as a failure
+    def test_degenerate_pointer_is_one_basis(self, seed):
+        # rho_S = I/2: strong Darwinism and the broadcast detector read the one
+        # probe-refined pointer basis, so both hold; the pointer-gap flag is
+        # still raised as a hint
         rho = qd.make_cq_state(seed, [0.5, 0.5], 0.0, n_subenvs=2)
         w = qd.verify_equivalence(rho, "S")
-        assert w.sbs.holds and not w.sqd.holds
+        assert w.sbs.holds and w.sqd.holds and w.independence.holds
+        assert w.consistent
+        assert all(sf.holds for sf in w.sqd.per_subfragment)
         assert w.borderline
         assert any(r.startswith("pointer-basis eigenvalue gap")
                    for r in w.borderline_reasons)
+
+    def test_default_fragment_excludes_the_chosen_system(self):
+        # E1 as the system: the default fragment is S, E2, E3
+        w = qd.verify_equivalence(qd.make_ghz_reduced(3), "E1")
+        assert w.sqd.holds and w.sbs.holds and w.consistent
+        assert [sf.labels for sf in w.sqd.per_subfragment] == [("S",), ("E2",), ("E3",)]
+        assert qd.analyze(qd.make_ghz_reduced(3), "E2").fragment == ("S", "E1", "E3")
+        layout = qd.SubsystemLayout(("A", "B"), (2, 2), None)
+        psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+        rho = qd.validate_density_matrix(np.outer(psi, psi.conj()), layout)
+        assert qd.objectivity_deficit(rho, "A") == pytest.approx(0.5, abs=1e-9)
 
     def test_product_stage_is_strong_independence(self):
         checked = 0
@@ -263,6 +276,24 @@ class TestObjectivityDeficit:
         except errors.DegenerateSystemEntropy:
             return
         assert 0.0 <= m <= 1.0
+
+
+DEGENERATE_BROADCAST = {
+    "cq-halves": lambda: qd.make_cq_state(0, [0.5, 0.5], 0.0),
+    "cq-thirds": lambda: qd.make_cq_state(1, [1 / 3] * 3, 0.0),
+    "horodecki-half": lambda: qd.make_horodecki(0.5),
+    "ghz-3": lambda: qd.make_ghz_reduced(3),
+}
+
+
+@pytest.mark.parametrize("make", list(DEGENERATE_BROADCAST.values()),
+                         ids=list(DEGENERATE_BROADCAST))
+def test_deficit_and_bound_vanish_at_a_degenerate_pointer(make):
+    # bipartite broadcast states with rho_S proportional to a projector: M and eta
+    # read the refined pointer basis, where both are 0
+    rho = make()
+    assert qd.objectivity_deficit(rho, "S") == pytest.approx(0.0, abs=1e-9)
+    assert qd.broadcast_distance_bound(rho, "S") <= 1e-9
 
 
 class TestDistanceBound:
@@ -336,6 +367,18 @@ class TestRedundancy:
         assert len(rep.scan_curve) == 10
         for pt in rep.scan_curve:
             assert pt.mean_holevo == pytest.approx(1.0, abs=1e-6)
+
+    def test_uninformative_environment_no_redundancy(self):
+        # rho_S = I/2 next to |0...0>: no probe splits the cluster, so the pointer
+        # basis stays the computational one and no fragment carries information
+        env = np.zeros(64)
+        env[0] = 1.0
+        layout = qd.SubsystemLayout.of(("S", 2), *((f"E{k}", 2) for k in range(1, 7)))
+        rho = qd.validate_density_matrix(np.kron(np.eye(2) / 2, np.diag(env)), layout)
+        assert np.array_equal(qd.pointer_basis(rho, "S").basis, np.eye(2))
+        rep = qd.redundancy(rho, "S", 0.1)
+        assert rep.r_delta == 0
+        assert rep.pointer_entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_no_redundancy(self):
         parts = [qd.make_random_density(1, qd.SubsystemLayout.of(("S", 2), system="S"))]

@@ -3,6 +3,7 @@ import pytest
 
 import qdarwin as qd
 from qdarwin import errors
+from qdarwin.measures import trace_norm
 from qdarwin.zoo import (
     SbsSpec,
     haar_random_unitary,
@@ -39,7 +40,7 @@ class TestBroadcastSpec:
         assert qd.detect_broadcast_structure(rho, "S").holds
 
     def test_overlapping_supports_rejected(self):
-        with pytest.raises(errors.OverlappingSupports):
+        with pytest.raises(errors.OverlappingParts):
             SbsSpec(
                 probabilities=(0.5, 0.5),
                 subenv_dims=(2,),
@@ -233,7 +234,7 @@ class TestPerturbAndSuite:
     def test_perturbed_state_valid_and_close(self):
         base = qd.make_random_broadcast_state(1, 2, 2, 3)
         noisy = perturb_state(base, 1e-2, seed=4)
-        assert qd.trace_distance(base, noisy) < 0.05
+        assert 0.5 * trace_norm(base.matrix - noisy.matrix) < 0.05
         assert not np.allclose(base.matrix, noisy.matrix)
 
     def test_theorem_case_deterministic(self):

@@ -1,16 +1,16 @@
-"""Dense complex linear algebra over labeled tensor-product Hilbert spaces.
+"""States held as factors over labeled tensor-product Hilbert spaces.
 
-States carry a :class:`SubsystemLayout` naming each tensor factor.  The first
-factor is the most significant Kronecker index, so ``layout.labels`` fixes a
-bit-exact matrix ordering for files and tests.
+A state is a factor V (d x r, rho = V V^dagger) plus a :class:`SubsystemLayout`
+naming each tensor factor.  The first factor is the most significant Kronecker
+index, so ``layout.labels`` fixes a bit-exact matrix ordering for files and
+tests.  The d x d matrix is formed only when read.
 
-Every reduction goes through one seam, a factor V of the state (rho = V
-V^dagger, d x r): the reduction to labels K is the factor W = V with the kept
-indices moved to its rows and the traced ones to its columns, and its
-spectrum is that of the smaller of W W^dagger and W^dagger W
-(:func:`reduced_factor`, :func:`reduced_spectrum`, :func:`partial_trace`).
-Nothing here views a state's d x d matrix by its factors: the pointer blocks
-the diagnostics read are products of branch factors (:mod:`qdarwin.measures`).
+Every reduction goes through one seam, the factor: the reduction to labels K
+is the factor W = V with the kept indices moved to its rows and the traced
+ones to its columns, and its spectrum is that of the smaller of W W^dagger and
+W^dagger W (:func:`reduced_factor`, :func:`reduced_spectrum`,
+:func:`partial_trace`).  The pointer blocks the diagnostics read are products
+of branch factors (:mod:`qdarwin.measures`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     DuplicateLabel,
     InvalidLayout,
     NotHermitian,
-    NotOrthonormal,
     NotPositive,
     TraceNotOne,
     UnknownLabel,
@@ -42,7 +41,6 @@ ENVIRONMENT = "environment"
 # double precision at dim <= 64.
 TOL_HERM = 1e-9        # max |m - m^dagger| entry of a valid state or eigen-input
 TOL_TRACE = 1e-9       # |tr rho - 1|, |norm - 1| and the sum-to-one of distributions
-TOL_ORTH = 1e-9        # max entry of V^dagger V - 1 and V V^dagger - 1 of a basis
 TOL_PSD = 1e-9         # most negative eigenvalue of a valid state
 TOL_PROB = 1e-12       # branch probability, or H(S) in bits, treated as zero
 DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one degenerate cluster
@@ -95,7 +93,7 @@ class SubsystemLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def environment_labels(self) -> tuple[str, ...]:
@@ -163,20 +161,18 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density operator plus the layout naming its tensor factors.
-
-    ``factor`` is a d x r matrix V with rho = V V^dagger, r the number of
-    eigenvalues above ``d * RANK_EPS * lambda_max``.  Validation and the
-    constructors that know V set it; any other state computes it once, on
-    first use.
+    """Density operator rho = V V^dagger held as its d x r factor V, plus the
+    layout naming its tensor factors.  ``matrix`` is formed on first read;
+    :func:`validate_density_matrix` keeps its validated input as that matrix,
+    and its factor U sqrt(w) keeps the eigenpairs above ``d * RANK_EPS * lambda_max``.
     """
 
-    matrix: np.ndarray
+    factor: np.ndarray
     layout: SubsystemLayout
 
     @cached_property
-    def factor(self) -> np.ndarray:
-        return _psd_factor(self.matrix)[1]
+    def matrix(self) -> np.ndarray:
+        return _freeze(self.factor @ self.factor.conj().T)
 
     @cached_property
     def _spectra(self) -> dict[tuple[str, ...], np.ndarray]:
@@ -184,7 +180,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.layout.total_dim
 
     def to_dict(self) -> dict:
         return {
@@ -215,22 +211,6 @@ def validate_pure_state(amplitudes: np.ndarray, layout: SubsystemLayout) -> Pure
     return PureState(_freeze(v), layout)
 
 
-def _psd_factor(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue of the Hermitian part of ``m``, and the factor V = U sqrt(w)
-    of its eigenpairs above ``d * RANK_EPS * lambda_max``."""
-    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
-    keep = w > m.shape[0] * RANK_EPS * w[-1]
-    return float(w[0]), _freeze(u[:, keep] * np.sqrt(w[keep]))
-
-
-def _state(matrix: np.ndarray, layout: SubsystemLayout,
-           factor: np.ndarray | None) -> DensityMatrix:
-    rho = DensityMatrix(_freeze(matrix), layout)
-    if factor is not None:
-        rho.__dict__["factor"] = _freeze(factor)  # fills the cached property
-    return rho
-
-
 def validate_density_matrix(matrix: np.ndarray, layout: SubsystemLayout) -> DensityMatrix:
     """Check Hermiticity, positivity, and unit trace; eigenvalues are never mutated
     here.  The positivity check's eigendecomposition gives the state's factor."""
@@ -244,10 +224,13 @@ def validate_density_matrix(matrix: np.ndarray, layout: SubsystemLayout) -> Dens
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TOL_TRACE:
         raise TraceNotOne(f"trace is {tr:.12g}, not 1")
-    lo, factor = _psd_factor(m)
-    if lo < -TOL_PSD:
-        raise NotPositive(lo)
-    return _state(m, layout, factor)
+    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+    if w[0] < -TOL_PSD:
+        raise NotPositive(float(w[0]))
+    keep = w > m.shape[0] * RANK_EPS * w[-1]
+    rho = DensityMatrix(_freeze(u[:, keep] * np.sqrt(w[keep])), layout)
+    rho.__dict__["matrix"] = _freeze(m)  # fills the cached property
+    return rho
 
 
 def validate_factor(factor: np.ndarray, layout: SubsystemLayout) -> DensityMatrix:
@@ -262,7 +245,7 @@ def validate_factor(factor: np.ndarray, layout: SubsystemLayout) -> DensityMatri
     tr = float(np.vdot(v, v).real)
     if abs(tr - 1.0) > TOL_TRACE:
         raise TraceNotOne(f"trace is {tr:.12g}, not 1")
-    return _state(v @ v.conj().T, layout, v)
+    return DensityMatrix(_freeze(v), layout)
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,21 +334,17 @@ def reduced_spectrum(rho: DensityMatrix, keep: Iterable[str]) -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Trace out every factor not named in ``keep``; kept factors stay in layout order.
-
-    The reduction is W W^dagger of its :func:`reduced_factor`, which becomes the
-    reduced state's factor when it has no more columns than rows.
-    """
+    """Trace out every factor not named in ``keep``; kept factors stay in layout
+    order.  The reduced state's factor is the :func:`reduced_factor`."""
     kept = rho.layout.require(keep)
     if kept == rho.layout.labels:
         return rho
-    w = reduced_factor(rho, kept)
-    return _state(w @ w.conj().T, rho.layout.subset(kept),
-                  w if w.shape[1] <= w.shape[0] else None)
+    return DensityMatrix(_freeze(reduced_factor(rho, kept)), rho.layout.subset(kept))
 
 
 def tensor(states: Sequence[DensityMatrix]) -> DensityMatrix:
-    """Kronecker product of states on disjoint label sets."""
+    """Kronecker product of states on disjoint label sets, as the Kronecker
+    product of their factors."""
     if not states:
         raise DimensionMismatch("tensor of zero states")
     labels: list[str] = []
@@ -381,11 +360,10 @@ def tensor(states: Sequence[DensityMatrix]) -> DensityMatrix:
             if system is not None:
                 raise InvalidLayout("more than one factor marked as system")
             system = s.layout.system
-    out = states[0].matrix
+    out = states[0].factor
     for s in states[1:]:
-        out = np.kron(out, s.matrix)
-    layout = SubsystemLayout(tuple(labels), tuple(dims), system)
-    return DensityMatrix(_freeze(out), layout)
+        out = np.kron(out, s.factor)
+    return DensityMatrix(_freeze(out), SubsystemLayout(tuple(labels), tuple(dims), system))
 
 
 @dataclass(frozen=True)
@@ -397,18 +375,6 @@ class ProjectiveMeasurement:
 
     subsystem: str
     basis: np.ndarray
-
-    @classmethod
-    def from_vectors(cls, subsystem: str, vectors: np.ndarray) -> "ProjectiveMeasurement":
-        v = np.asarray(vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DimensionMismatch(f"basis must be square, got {v.shape}")
-        gram = v.conj().T @ v
-        if float(np.max(np.abs(gram - np.eye(v.shape[0])))) > TOL_ORTH:
-            raise NotOrthonormal("basis vectors are not orthonormal")
-        if float(np.max(np.abs(v @ v.conj().T - np.eye(v.shape[0])))) > TOL_ORTH:
-            raise NotOrthonormal("projectors do not sum to the identity")
-        return cls(subsystem, _freeze(v))
 
     @classmethod
     def computational(cls, subsystem: str, dim: int) -> "ProjectiveMeasurement":

@@ -13,12 +13,9 @@ class DimensionMismatch(QDarwinError, ValueError):
     """Operands have incompatible dimensions."""
 
 
-class DimensionTooSmall(QDarwinError, ValueError):
-    """Requested construction does not fit in the given dimensions."""
-
-
-class DimensionTooLarge(QDarwinError, ValueError):
-    """Total Hilbert-space dimension exceeds the supported size."""
+class DimensionOutOfRange(QDarwinError, ValueError):
+    """A requested construction does not fit its dimensions or counts, or
+    exceeds the supported size."""
 
 
 class NotHermitian(QDarwinError, ValueError):
@@ -44,10 +41,6 @@ class UnknownLabel(QDarwinError, KeyError):
 
 class DuplicateLabel(QDarwinError, ValueError):
     """Two tensor factors carry the same label."""
-
-
-class NotOrthonormal(QDarwinError, ValueError):
-    """Measurement basis fails the orthonormality/completeness check."""
 
 
 class OverlappingParts(QDarwinError, ValueError):

@@ -7,10 +7,11 @@ pointer ensemble {p_i, rho_F|i} of a system S and a fragment F.
 give p_i = |W_i|_F^2 and the spectra of the conditionals, and H(F) and H(SF)
 come from the state's memoized reduced spectra, so no matrix larger than a
 Gram matrix is formed.  The pointer blocks <i|rho_SF|j> = W_i W_j^dagger,
-which the broadcast detector and the distance bound read, the conditionals
-and rho_F are formed only when read.  I(S:F), the Holevo quantity chi, the
-discord and the accessible-information bracket are read from the
-:class:`PointerEnsemble`.
+which the broadcast detector and the distance bound read, the conditional
+matrices and rho_F are formed only when read; the bound's fidelities
+F(rho_F|i, rho_F|j) = ||W_i^dagger W_j||_1 / sqrt(p_i p_j) need only the branch
+factors.  I(S:F), the Holevo quantity chi, the discord and the
+accessible-information bracket are read from the :class:`PointerEnsemble`.
 
 One rule chooses its basis: the canonical eigenbasis of rho_S, any degenerate
 cluster refined against fragment probes of the same factor.  Inside a cluster
@@ -32,7 +33,6 @@ from .core import (
     DEGENERACY_GAP,
     EPS_NUM,
     EPS_OPT,
-    RANK_EPS,
     TAU_COMM,
     TOL_PROB,
     DensityMatrix,
@@ -139,21 +139,12 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2.0)).sum())
 
 
-def _sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix; eigenvalues up to the factor's rank cut are
-    rounding and count as 0 (their square roots, about 1e-8, would enter F)."""
-    w, v = np.linalg.eigh(matrix)
-    w = np.where(w > matrix.shape[0] * RANK_EPS * w[-1], w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
-    """Square-root fidelity ||sqrt(a) sqrt(b)||_1, in [0, 1]."""
-    ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a, dtype=complex)
-    mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b, dtype=complex)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shapes differ: {ma.shape} vs {mb.shape}")
-    s = np.linalg.svd(_sqrtm_psd(ma) @ _sqrtm_psd(mb), compute_uv=False)
+def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Square-root fidelity ||sqrt(a) sqrt(b)||_1, in [0, 1], read from the
+    factors a = A A^dagger and b = B B^dagger as ||A^dagger B||_1."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    s = np.linalg.svd(a.factor.conj().T @ b.factor, compute_uv=False)
     return float(min(s.sum(), 1.0))
 
 
@@ -177,11 +168,15 @@ def _pointer(system: str, rho_s: np.ndarray, w: np.ndarray
 def _probe_stacks(rho_s: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
     """-rho_S, which orders the clusters by descending rho_S, then one stack per
     fragment row m: the Hermitian and anti-Hermitian parts of the probes
-    (1 x <m|) rho_SF (1 x |k>) = A_m A_k^dagger, k >= m, A_m the (S, m) slice of ``w``."""
+    (1 x <m|) rho_SF (1 x |k>) = A_m A_k^dagger, k >= m, A_m the (S, m) slice of ``w``.
+    A row whose probes all have eigenvalue spread at most
+    4 |A_m|_F max_k |A_k|_F < ``DEGENERACY_GAP`` cannot split a cluster and is skipped."""
     d_s = rho_s.shape[0]
     yield -rho_s[None]
     a = w.reshape(d_s, -1, w.shape[1]).transpose(1, 0, 2)  # A_m as [m, s, c]
-    for m in range(a.shape[0]):
+    norms = np.linalg.norm(a, axis=(1, 2))
+    tail = np.maximum.accumulate(norms[::-1])[::-1]  # max over k >= m of |A_k|_F
+    for m in np.flatnonzero(4.0 * norms * tail >= DEGENERACY_GAP):
         t = np.einsum("sc,ktc->kst", a[m], a[m:].conj())
         t_dag = t.conj().transpose(0, 2, 1)
         yield np.stack([t + t_dag, 1j * (t - t_dag)], axis=1).reshape(-1, d_s, d_s)

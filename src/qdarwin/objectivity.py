@@ -392,9 +392,10 @@ def _distance_bound(ens: PointerEnsemble) -> float:
     d_s, _, d_f, _ = ens.blocks.shape
     off = ens.blocks * (1.0 - np.eye(d_s))[:, :, None, None]
     term1 = trace_norm(off.transpose(0, 2, 1, 3).reshape(d_s * d_f, -1))
-    ps, cs = ens.live()
+    live = [(p, c) for p, c in zip(ens.probabilities, ens.conditional_states)
+            if c is not None]
     term2 = 0.0
-    for (pi, ci), (pj, cj) in itertools.combinations(zip(ps, cs), 2):
+    for (pi, ci), (pj, cj) in itertools.combinations(live, 2):
         term2 += 2.0 * math.sqrt(pi * pj) * fidelity(ci, cj)
     return term1 + term2
 

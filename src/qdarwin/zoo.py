@@ -13,16 +13,10 @@ from .core import (
     DensityMatrix,
     PureState,
     SubsystemLayout,
-    validate_density_matrix,
     validate_factor,
     validate_pure_state,
 )
-from .errors import (
-    DimensionTooLarge,
-    DimensionTooSmall,
-    InvalidLayout,
-    OverlappingParts,
-)
+from .errors import DimensionOutOfRange, InvalidLayout, OverlappingParts
 from .measures import entropy_bits
 
 MAX_HAAR_DIM = 128
@@ -75,7 +69,7 @@ class SbsSpec:
                 if abs(sum(spec) - 1.0) > TOL_TRACE or min(spec) < 0:
                     raise InvalidLayout("each conditional spectrum must be a distribution")
                 if any(j < 0 or j >= dim for j in sup):
-                    raise DimensionTooSmall(
+                    raise DimensionOutOfRange(
                         f"support index outside subenvironment dimension {dim}")
                 if used & set(sup):
                     raise OverlappingParts(
@@ -98,19 +92,24 @@ class SbsSpec:
 
 def make_broadcast_state(spec: SbsSpec) -> DensityMatrix:
     """Assemble sum_i p_i |i><i| (x) rho_i^E1 (x) ... from a spec."""
+    return _broadcast_factor(spec, [np.eye(d) for d in spec.subenv_dims])
+
+
+def _broadcast_factor(spec: SbsSpec, rotations: Sequence[np.ndarray]) -> DensityMatrix:
+    """The broadcast state of ``spec`` with subenvironment k rotated by
+    ``rotations[k]``: branch i has the factor sqrt(p_i) |i> (x) u_1 C_i1 (x) ...,
+    where C_ik holds sqrt(w_j) |j> for the support j and weight w_j of rho_i^Ek."""
     n_branches = len(spec.probabilities)
-    layout = std_layout(n_branches, spec.subenv_dims)
-    total = layout.total_dim
-    out = np.zeros((total, total), dtype=complex)
+    branches = []
     for i, p in enumerate(spec.probabilities):
-        branch = np.outer(_basis_ket(n_branches, i), _basis_ket(n_branches, i).conj())
-        for k, dim in enumerate(spec.subenv_dims):
-            cond = np.zeros((dim, dim), dtype=complex)
-            for j, w in zip(spec.supports[i][k], spec.spectra[i][k]):
-                cond[j, j] = w
-            branch = np.kron(branch, cond)
-        out += p * branch
-    return validate_density_matrix(out, layout)
+        branch = math.sqrt(p) * _basis_ket(n_branches, i)[:, None]
+        for u, dim, sup, weights in zip(rotations, spec.subenv_dims, spec.supports[i],
+                                        spec.spectra[i]):
+            c = np.zeros((dim, len(sup)))
+            c[list(sup), range(len(sup))] = np.sqrt(weights)
+            branch = np.kron(branch, u @ c)
+        branches.append(branch)
+    return validate_factor(np.hstack(branches), std_layout(n_branches, spec.subenv_dims))
 
 
 def _simplex_sample(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -125,7 +124,7 @@ def make_random_broadcast_state(seed: int, n_branches: int, n_subenvs: int,
     index, spectra drawn from flat simplices, conditionals rotated within their
     own support subspaces (which preserves the structure)."""
     if max_dim < n_branches:
-        raise DimensionTooSmall(
+        raise DimensionOutOfRange(
             f"subenvironment dimension cap {max_dim} below branch count {n_branches}")
     rng = np.random.default_rng(seed)
     dims = [int(rng.integers(n_branches, max_dim + 1)) for _ in range(n_subenvs)]
@@ -147,27 +146,22 @@ def make_random_broadcast_state(seed: int, n_branches: int, n_subenvs: int,
         spectra.append(tuple(spec_row))
     spec = SbsSpec(tuple(float(p) for p in probs), tuple(dims),
                    tuple(supports), tuple(spectra))
-    rho = make_broadcast_state(spec)
     # rotate each conditional inside its support subspace
-    layout = rho.layout
-    matrix = rho.matrix.copy()
+    rotations = []
     for k, dim in enumerate(dims):
         u = np.eye(dim, dtype=complex)
         for i in range(n_branches):
             sup = list(spec.supports[i][k])
             if len(sup) > 1:
                 u[np.ix_(sup, sup)] = haar_random_unitary(rng, len(sup))
-        full = np.eye(1, dtype=complex)
-        for lab, d in zip(layout.labels, layout.dims):
-            full = np.kron(full, u if lab == f"E{k + 1}" else np.eye(d, dtype=complex))
-        matrix = full @ matrix @ full.conj().T
-    return validate_density_matrix(matrix, layout)
+        rotations.append(u)
+    return _broadcast_factor(spec, rotations)
 
 
 def make_ghz_reduced(n_subenvs: int) -> DensityMatrix:
     """Even mixture of the all-zero and all-one projectors on 1 + N qubits."""
     if n_subenvs < 1:
-        raise DimensionTooSmall("need at least one subenvironment")
+        raise DimensionOutOfRange("need at least one subenvironment")
     layout = std_layout(2, [2] * n_subenvs)
     # |0.5 + 0.5j|^2 is exactly 0.5 (sqrt(0.5)^2 rounds up), so the matrix holds 0.5
     factor = np.zeros((layout.total_dim, 2), dtype=complex)
@@ -186,8 +180,7 @@ def make_horodecki(p: float) -> DensityMatrix:
     psi1[0], psi1[3] = a, b
     psi2 = np.zeros(4, dtype=complex)
     psi2[2], psi2[1] = a, b
-    rho = p * np.outer(psi1, psi1.conj()) + (1.0 - p) * np.outer(psi2, psi2.conj())
-    return validate_density_matrix(rho, std_layout(2, [2]))
+    return validate_factor(np.stack([a * psi1, b * psi2], axis=1), std_layout(2, [2]))
 
 
 def horodecki_p_tilde(p: float) -> float:
@@ -202,45 +195,39 @@ def horodecki_holevo_closed_form(p: float) -> float:
             - (1.0 - pt))
 
 
+def _check_appendix_b(n_subenvs: int, p1: float) -> None:
+    if n_subenvs < 2:
+        raise DimensionOutOfRange("need at least two subenvironments")
+    if not 0.0 < p1 < 1.0:
+        raise InvalidLayout(f"p1 must lie in (0, 1), got {p1}")
+
+
+def _post_ket(i: int, j: int, n_subenvs: int) -> np.ndarray:
+    """|i> (x) |j>^(x)N on a qubit system and N dim-4 subenvironments."""
+    ket = _basis_ket(2, i)
+    for _ in range(n_subenvs):
+        ket = np.kron(ket, _basis_ket(4, j))
+    return ket
+
+
 def make_correlated_branches(n_subenvs: int, p1: float = 0.5) -> DensityMatrix:
     """Qubit system with dim-4 subenvironments whose branch states are perfectly
     correlated classical mixtures: every reduced system-subenvironment pair has
     broadcast structure, the joint state does not."""
-    if n_subenvs < 2:
-        raise DimensionTooSmall("need at least two subenvironments")
-    if not 0.0 < p1 < 1.0:
-        raise InvalidLayout(f"p1 must lie in (0, 1), got {p1}")
-    layout = std_layout(2, [4] * n_subenvs)
-    dims = layout.dims
-    out = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for i, p in enumerate((p1, 1.0 - p1)):
-        for j in (2 * i, 2 * i + 1):
-            ket = _basis_ket(2, i)
-            for _ in range(n_subenvs):
-                ket = np.kron(ket, _basis_ket(4, j))
-            out += (p / 2.0) * np.outer(ket, ket.conj())
-    return validate_density_matrix(out, layout)
+    _check_appendix_b(n_subenvs, p1)
+    factor = [math.sqrt(p / 2.0) * _post_ket(i, j, n_subenvs)
+              for i, p in enumerate((p1, 1.0 - p1)) for j in (2 * i, 2 * i + 1)]
+    return validate_factor(np.stack(factor, axis=1), std_layout(2, [4] * n_subenvs))
 
 
 def make_entangled_branches(n_subenvs: int, p1: float = 0.5) -> DensityMatrix:
     """Like :func:`make_correlated_branches` but each branch is a pure entangled
     superposition across the subenvironments."""
-    if n_subenvs < 2:
-        raise DimensionTooSmall("need at least two subenvironments")
-    if not 0.0 < p1 < 1.0:
-        raise InvalidLayout(f"p1 must lie in (0, 1), got {p1}")
-    layout = std_layout(2, [4] * n_subenvs)
-    out = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for i, p in enumerate((p1, 1.0 - p1)):
-        branch = np.zeros(layout.total_dim, dtype=complex)
-        for j in (2 * i, 2 * i + 1):
-            ket = _basis_ket(2, i)
-            for _ in range(n_subenvs):
-                ket = np.kron(ket, _basis_ket(4, j))
-            branch += ket
-        branch /= np.linalg.norm(branch)
-        out += p * np.outer(branch, branch.conj())
-    return validate_density_matrix(out, layout)
+    _check_appendix_b(n_subenvs, p1)
+    factor = [math.sqrt(p / 2.0) * (_post_ket(i, 2 * i, n_subenvs)
+                                    + _post_ket(i, 2 * i + 1, n_subenvs))
+              for i, p in enumerate((p1, 1.0 - p1))]
+    return validate_factor(np.stack(factor, axis=1), std_layout(2, [4] * n_subenvs))
 
 
 def make_haar_pure(seed: int, layout: SubsystemLayout) -> PureState:
@@ -249,7 +236,7 @@ def make_haar_pure(seed: int, layout: SubsystemLayout) -> PureState:
     first basis vector."""
     dim = layout.total_dim
     if dim > MAX_HAAR_DIM:
-        raise DimensionTooLarge(f"total dimension {dim} exceeds {MAX_HAAR_DIM}")
+        raise DimensionOutOfRange(f"total dimension {dim} exceeds {MAX_HAAR_DIM}")
     rng = np.random.default_rng(seed)
     u = haar_random_unitary(rng, dim)
     return validate_pure_state(u[:, 0], layout)
@@ -273,8 +260,8 @@ def make_cq_state(seed: int, p_list: Sequence[float], conditional_overlap: float
     if abs(sum(probs) - 1.0) > TOL_TRACE or min(probs) <= 0:
         raise InvalidLayout("p_list must be positive and sum to 1")
     k = len(probs)
-    if k < 2:
-        raise DimensionTooSmall("need at least two branches")
+    if k < 2 or n_subenvs < 1:
+        raise DimensionOutOfRange("need at least two branches and one subenvironment")
     sub_dim = 2 if k == 2 else k + 1
     rng = np.random.default_rng(seed)
     if k == 2:
@@ -290,25 +277,24 @@ def make_cq_state(seed: int, p_list: Sequence[float], conditional_overlap: float
     layout = std_layout(k, [sub_dim] * n_subenvs)
     u_sys = haar_random_unitary(rng, k)
     u_frag = [haar_random_unitary(rng, sub_dim) for _ in range(n_subenvs)]
-    out = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    factor = []
     for i, p in enumerate(probs):
-        vec = u_sys @ _basis_ket(k, i)
+        vec = math.sqrt(p) * u_sys[:, i]
         for u in u_frag:
             vec = np.kron(vec, u @ kets[i])
-        out += p * np.outer(vec, vec.conj())
-    return validate_density_matrix(out, layout)
+        factor.append(vec)
+    return validate_factor(np.stack(factor, axis=1), layout)
 
 
 def make_random_density(seed: int, layout: SubsystemLayout,
                         rank: int | None = None) -> DensityMatrix:
-    """Seeded random density matrix from a complex Ginibre factor G G^dagger."""
+    """Seeded random density matrix with the factor G / |G|_F of a complex
+    Ginibre matrix G."""
     dim = layout.total_dim
     rank = dim if rank is None else max(1, min(rank, dim))
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    rho /= rho.trace().real
-    return validate_density_matrix(rho, layout)
+    return validate_factor(g / np.linalg.norm(g), layout)
 
 
 def perturb_state(rho: DensityMatrix, strength: float, seed: int) -> DensityMatrix:
@@ -321,9 +307,8 @@ def perturb_state(rho: DensityMatrix, strength: float, seed: int) -> DensityMatr
     h *= strength / np.linalg.norm(h)
     noisy = rho.matrix + h
     w, v = np.linalg.eigh(noisy)
-    w = np.clip(w, 0.0, None)
-    w /= w.sum()
-    return validate_density_matrix((v * w) @ v.conj().T, rho.layout)
+    keep = w > 0.0
+    return validate_factor(v[:, keep] * np.sqrt(w[keep] / w[keep].sum()), rho.layout)
 
 
 FAMILIES = ("sbs", "perturbed-sbs", "cq", "haar")
@@ -335,10 +320,10 @@ def make_theorem_case(seed: int, index: int, dims_cap: int = 32,
 
     Every case fits ``dims_cap``: broadcast and cq cases drop subenvironments,
     and haar cases draw only from the environments that fit.  Raises
-    :class:`DimensionTooSmall` when a family's smallest case does not fit.
+    :class:`DimensionOutOfRange` when a family's smallest case does not fit.
     """
     if dims_cap < 4:
-        raise DimensionTooSmall(f"dims cap {dims_cap} is below 4, the smallest case dimension")
+        raise DimensionOutOfRange(f"dims cap {dims_cap} is below 4, the smallest case dimension")
     family = FAMILIES[index % len(FAMILIES)]
     rng = np.random.default_rng([seed, index])
     sub_seed = int(rng.integers(0, 2 ** 31))
@@ -351,7 +336,7 @@ def make_theorem_case(seed: int, index: int, dims_cap: int = 32,
         rho = make_random_broadcast_state(sub_seed, n_branches, n_subenvs, max_dim)
         while rho.dim > dims_cap:
             if n_subenvs == 1:
-                raise DimensionTooSmall(
+                raise DimensionOutOfRange(
                     f"dims cap {dims_cap} is below the dimension {rho.dim} of a "
                     f"{n_branches}-branch broadcast state with one subenvironment")
             n_subenvs -= 1

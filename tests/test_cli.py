@@ -128,8 +128,12 @@ class TestMake:
         ["sbs", "--spec", "fractional-index.json"],
         ["sbs", "--spec", "string-dim.json"],
         ["sbs", "--spec", "bool-index.json"],
+        # 2^64 wraps to 0 in a fixed-width product
+        ["haar", "--dims", ",".join(["2"] * 64), "--seed", "1"],
+        ["cq", "--overlap", "0.5", "--subenvs", "0", "--seed", "1"],
     ], ids=["dims", "probs", "missing-spec", "spec-without-spectra", "spec-fractional-dim",
-            "spec-fractional-index", "spec-string-dim", "spec-bool-index"])
+            "spec-fractional-index", "spec-string-dim", "spec-bool-index", "dims-overflow",
+            "cq-no-subenvironments"])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-spectra.json").write_text(json.dumps(

@@ -262,16 +262,11 @@ class TestDephase:
     def test_dephase_in_nonpointer_basis_changes_state(self):
         rho = qd.make_ghz_reduced(1)
         had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        meas = qd.ProjectiveMeasurement.from_vectors("S", had)
+        meas = qd.ProjectiveMeasurement("S", had)
         assert qd.broadcast_distance_bound(rho, "S", pointer=meas) > 1e-6
 
 
 class TestMeasurementValidation:
-    def test_from_vectors_rejects_non_orthonormal(self):
-        bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(errors.NotOrthonormal):
-            qd.ProjectiveMeasurement.from_vectors("S", bad)
-
     def test_unknown_subsystem(self):
         with pytest.raises(errors.UnknownLabel):
             qd.branch_decomposition(bell_state(), "Q",

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import qdarwin as qd
 from qdarwin import errors
-from qdarwin.measures import classical_mutual_information, common_eigenbasis, trace_norm
+from qdarwin.core import reduced_factor
+from qdarwin.measures import (_probe_stacks, classical_mutual_information,
+                               common_eigenbasis, trace_norm)
 from qdarwin.zoo import haar_random_unitary, horodecki_holevo_closed_form
 
 import oracles
@@ -147,9 +149,11 @@ class TestFidelity:
     @pytest.mark.parametrize("dim", [16, 64])
     def test_orthogonal_pure_states_in_a_large_space(self, dim):
         # |a><a| formed in floating point has eigenvalues of about 1e-17 besides
-        # the 1; their square roots must not enter the fidelity
+        # the 1; they must not enter the fidelity
         u = haar_random_unitary(np.random.default_rng(dim), dim)
-        a, b = (np.outer(u[:, k], u[:, k].conj()) for k in (0, 1))
+        layout = qd.SubsystemLayout.of(("S", dim), system="S")
+        a, b = (qd.validate_density_matrix(np.outer(u[:, k], u[:, k].conj()), layout)
+                for k in (0, 1))
         assert qd.fidelity(a, b) <= 1e-12
         assert qd.fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
 
@@ -291,7 +295,8 @@ class TestAccessibleInformation:
         # chain: chi >= I_acc lower >= H({p}) - 2 sqrt(p1 p2) B(rho_1, rho_2)
         rho = random_state(seed, qd.std_layout(2, [2]))
         ens = qd.pointer_ensemble(rho, "S", ["E1"])
-        probs, conds = ens.live()
+        probs, _ = ens.live()
+        conds = [c for c in ens.conditional_states if c is not None]
         if len(conds) < 2:
             return
         (p1, p2), (r1, r2) = probs, conds
@@ -325,6 +330,17 @@ class TestHelpers:
         for m in (d1, d2):
             t = basis.conj().T @ m @ basis
             assert np.linalg.norm(t - np.diag(np.diag(t))) < 1e-9
+
+    def test_probe_rows_that_cannot_split_a_cluster_are_skipped(self):
+        # I/2 x |0...0>: only fragment row 0 has probes; the other 255 rows are zero
+        n = 8
+        factor = np.zeros((2 ** (n + 1), 2), dtype=complex)
+        factor[0, 0] = factor[2 ** n, 1] = np.sqrt(0.5)
+        rho = qd.validate_factor(factor, qd.std_layout(2, [2] * n))
+        w = reduced_factor(rho, rho.layout.labels)
+        rho_s = qd.partial_trace(rho, ["S"]).matrix
+        assert len(list(_probe_stacks(rho_s, w))) == 2
+        assert np.allclose(qd.pointer_basis(rho, "S").basis, np.eye(2), atol=1e-12)
 
     def test_classical_mi_perfectly_distinguishable(self):
         probs = np.array([0.5, 0.5])

@@ -334,8 +334,7 @@ class TestDistanceBound:
                 (np.pi / 3, 0.7), method="Nelder-Mead",
                 options={"xatol": 1e-10, "fatol": 1e-13})
             kets = oracles.qubit_pair(*res.x)
-            basis = qd.ProjectiveMeasurement.from_vectors(
-                "S", np.stack(kets, axis=1))
+            basis = qd.ProjectiveMeasurement("S", np.stack(kets, axis=1))
             chi_at = oracles.holevo_in_basis(rho.matrix, 2, kets)
             if chi_at < chi_opt - 1e-7:
                 continue  # local refinement missed the global basin

@@ -139,13 +139,23 @@ class TestFactor:
         psi = qd.make_haar_pure(1, qd.std_layout(2, [2, 2]))
         assert psi.to_density().factor.shape == (8, 1)
 
-    def test_unvalidated_state_factors_on_first_use(self):
-        a = qd.make_random_density(1, qd.SubsystemLayout.of(("S", 2), system="S"))
+    def test_tensor_is_the_kronecker_product_of_factors(self):
+        a = qd.make_random_density(1, qd.SubsystemLayout.of(("S", 2), system="S"), rank=1)
         b = qd.make_random_density(2, qd.SubsystemLayout.of(("E1", 3), system=None))
         rho = qd.tensor([a, b])
-        assert "factor" not in vars(rho)
-        assert np.allclose(rho.factor @ rho.factor.conj().T, rho.matrix, atol=1e-14)
-        assert rho.factor is rho.factor
+        assert rho.factor.shape == (6, 3)
+        assert "matrix" not in vars(rho)
+        assert np.allclose(rho.matrix, np.kron(a.matrix, b.matrix), atol=1e-14)
+        assert rho.matrix is rho.matrix
+
+    def test_factor_built_states_never_form_their_matrix(self):
+        ghz = qd.make_ghz_reduced(10)
+        qd.redundancy(ghz, "S", 0.1, scan_samples=3)
+        assert "matrix" not in vars(ghz)
+        for rho in (qd.make_random_broadcast_state(3, 2, 2, 3),
+                    qd.make_cq_state(3, [0.3, 0.7], 0.4, 2)):
+            qd.verify_equivalence(rho, "S")
+            assert "matrix" not in vars(rho)
 
     def test_validate_factor_rejects_bad_factors(self):
         layout = qd.std_layout(2, [2])

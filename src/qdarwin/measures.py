@@ -10,8 +10,9 @@ Gram matrix is formed.  The pointer blocks <i|rho_SF|j> = W_i W_j^dagger,
 which the broadcast detector and the distance bound read, the conditional
 matrices and rho_F are formed only when read; the bound's fidelities
 F(rho_F|i, rho_F|j) = ||W_i^dagger W_j||_1 / sqrt(p_i p_j) need only the branch
-factors.  I(S:F), the Holevo quantity chi, the discord and the
-accessible-information bracket are read from the :class:`PointerEnsemble`.
+factors, each cut to d_f columns by a QR decomposition first.  I(S:F), the
+Holevo quantity chi, the discord and the accessible-information bracket are
+read from the :class:`PointerEnsemble`.
 
 One rule chooses its basis: the canonical eigenbasis of rho_S, any degenerate
 cluster refined against fragment probes of the same factor.  Inside a cluster
@@ -144,8 +145,16 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     factors a = A A^dagger and b = B B^dagger as ||A^dagger B||_1."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    s = np.linalg.svd(a.factor.conj().T @ b.factor, compute_uv=False)
+    s = np.linalg.svd(_narrow(a.factor).conj().T @ _narrow(b.factor), compute_uv=False)
     return float(min(s.sum(), 1.0))
+
+
+def _narrow(factor: np.ndarray) -> np.ndarray:
+    """A factor of A A^dagger with at most d columns: a reduction's factor carries
+    every traced index in its columns, and A A^dagger = R^T conj(R) for A^T = Q R."""
+    if factor.shape[1] <= factor.shape[0]:
+        return factor
+    return np.linalg.qr(factor.T, mode="r").T
 
 
 def pointer_basis(rho: DensityMatrix, system: str) -> ProjectiveMeasurement:
@@ -262,9 +271,9 @@ class PointerEnsemble:
         w = self.eigenvalues
         return float(np.min(w[:-1] - w[1:])) if w.size > 1 else float("inf")
 
-    def live(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Probabilities and conditionals of the branches that occur."""
-        kept = [(p, c) for p, c in zip(self.probabilities, self.conditionals)
+    def live(self) -> tuple[np.ndarray, list[DensityMatrix]]:
+        """Probabilities and conditional states of the branches that occur."""
+        kept = [(p, c) for p, c in zip(self.probabilities, self.conditional_states)
                 if c is not None]
         return np.array([p for p, _ in kept]), [c for _, c in kept]
 
@@ -280,7 +289,8 @@ class PointerEnsemble:
         ``optimize_lower`` is off, e.g. inside large batch runs).
         """
         chi = self.holevo
-        ps, cs = self.live()
+        ps, states = self.live()
+        cs = [c.matrix for c in states]
         if not cs:
             return AccessibleInfoBounds(0.0, chi, True, False)
         if all(np.linalg.norm(ci @ cj - cj @ ci) < TAU_COMM for ci, cj in combinations(cs, 2)):

@@ -226,9 +226,9 @@ def _broadcast_structure(ens: PointerEnsemble,
                       for i, j in itertools.combinations(range(len(ens.probabilities)), 2))
     cq_ok = max_offdiag <= TOL_OFFDIAG
 
-    max_whole = _max_overlap(ens.live()[1])
-    max_sub = max(_max_overlap([partial_trace(c, [lab]).matrix
-                                for c in ens.conditional_states if c is not None])
+    live = ens.live()[1]
+    max_whole = _max_overlap([c.matrix for c in live])
+    max_sub = max(_max_overlap([partial_trace(c, [lab]).matrix for c in live])
                   for lab in ens.fragment)
     whole_ok = max_whole <= TOL_OVERLAP
     sub_ok = max_sub <= TOL_OVERLAP
@@ -392,10 +392,8 @@ def _distance_bound(ens: PointerEnsemble) -> float:
     d_s, _, d_f, _ = ens.blocks.shape
     off = ens.blocks * (1.0 - np.eye(d_s))[:, :, None, None]
     term1 = trace_norm(off.transpose(0, 2, 1, 3).reshape(d_s * d_f, -1))
-    live = [(p, c) for p, c in zip(ens.probabilities, ens.conditional_states)
-            if c is not None]
     term2 = 0.0
-    for (pi, ci), (pj, cj) in itertools.combinations(live, 2):
+    for (pi, ci), (pj, cj) in itertools.combinations(zip(*ens.live()), 2):
         term2 += 2.0 * math.sqrt(pi * pj) * fidelity(ci, cj)
     return term1 + term2
 

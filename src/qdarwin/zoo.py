@@ -9,6 +9,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    RANK_EPS,
     TOL_TRACE,
     DensityMatrix,
     PureState,
@@ -299,7 +300,8 @@ def make_random_density(seed: int, layout: SubsystemLayout,
 
 def perturb_state(rho: DensityMatrix, strength: float, seed: int) -> DensityMatrix:
     """Add seeded Hermitian noise of the given Frobenius strength, then project
-    back onto valid states (clip negative eigenvalues, renormalize)."""
+    back onto valid states (drop eigenvalues at or below the rank cut
+    d * RANK_EPS * lambda_max of validation, renormalize)."""
     rng = np.random.default_rng(seed)
     d = rho.dim
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -307,7 +309,7 @@ def perturb_state(rho: DensityMatrix, strength: float, seed: int) -> DensityMatr
     h *= strength / np.linalg.norm(h)
     noisy = rho.matrix + h
     w, v = np.linalg.eigh(noisy)
-    keep = w > 0.0
+    keep = w > d * RANK_EPS * w[-1]
     return validate_factor(v[:, keep] * np.sqrt(w[keep] / w[keep].sum()), rho.layout)
 
 

@@ -164,6 +164,14 @@ class TestFidelity:
         b = qd.validate_density_matrix(np.outer(plus, plus.conj()), layout)
         assert qd.fidelity(a, b) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
+    def test_reduced_states_with_wide_factors(self):
+        # a one-qubit reduction of a full-rank 2 x [2]^6 state has a 2 x 8192
+        # factor; the fidelity reads it as a 2 x 2 one
+        rho = qd.make_random_density(3, qd.std_layout(2, [2] * 6))
+        a, b = qd.partial_trace(rho, ["E1"]), qd.partial_trace(rho, ["E2"])
+        assert a.factor.shape == (2, 8192)
+        assert abs(qd.fidelity(a, b) - oracles.fidelity(a.matrix, b.matrix)) <= 1e-12
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_fuchs_van_de_graaf(self, seed):
@@ -295,8 +303,7 @@ class TestAccessibleInformation:
         # chain: chi >= I_acc lower >= H({p}) - 2 sqrt(p1 p2) B(rho_1, rho_2)
         rho = random_state(seed, qd.std_layout(2, [2]))
         ens = qd.pointer_ensemble(rho, "S", ["E1"])
-        probs, _ = ens.live()
-        conds = [c for c in ens.conditional_states if c is not None]
+        probs, conds = ens.live()
         if len(conds) < 2:
             return
         (p1, p2), (r1, r2) = probs, conds

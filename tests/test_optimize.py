@@ -43,7 +43,7 @@ def ensemble(seed, dims):
     rho = qd.make_random_density(seed, qd.std_layout(dims[0], dims[1:]))
     ens = qd.pointer_ensemble(rho, "S", list(rho.layout.environment_labels))
     probs, conds = ens.live()
-    return ens, probs, np.stack(conds)
+    return ens, probs, np.stack([c.matrix for c in conds])
 
 
 class TestQubitPath:

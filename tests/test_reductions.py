@@ -127,6 +127,22 @@ def test_block_split_matches_dense_oracle(name):
                - (want["trace_norm"] + want["fidelity_sum"])) <= TOL
 
 
+@pytest.mark.parametrize("make", [lambda: qd.make_ghz_reduced(10),
+                                  lambda: qd.make_random_density(3, qd.std_layout(2, [2] * 6))],
+                         ids=["ghz-10", "full-rank-2x[2]^6"])
+def test_fragment_bound_matches_dense_oracle(make):
+    """eta on one-qubit fragments, where each branch factor carries every traced
+    index in its columns (2 x 4096 for the full-rank state)."""
+    rho = make()
+    dims = rho.layout.dims
+    for frag in ("E1", "E4"):
+        kets = qd.pointer_ensemble(rho, "S", [frag]).basis.basis.T
+        joint = oracles.partial_trace(rho.matrix, dims, [0, rho.layout.labels.index(frag)])
+        want = oracles.block_split(joint, 2, kets)
+        assert abs(qd.broadcast_distance_bound(rho, "S", [frag])
+                   - (want["trace_norm"] + want["fidelity_sum"])) <= TOL, frag
+
+
 class TestFactor:
     def test_validation_cuts_the_rank(self):
         rho = qd.make_random_density(4, qd.std_layout(2, [2, 2]), rank=2)

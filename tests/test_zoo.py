@@ -392,3 +392,15 @@ class TestDenseAssembly:
         want = (v * (w / w.sum())) @ v.conj().T
         assert np.allclose(perturb_state(base, strength, 8).matrix, want, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturb_state_at_zero_keeps_eta_at_rounding(self, seed):
+        # at strength 0 the null space of a broadcast state is all rounding
+        # eigenvalues; kept as factor columns of norm ~1e-9 they would enter the
+        # fidelities of eta.  The pointer is rotated so that null vectors mix branches.
+        base = qd.make_random_broadcast_state(seed, 2, 2, 3)
+        u = np.kron(haar_random_unitary(np.random.default_rng(seed), 2), np.eye(base.dim // 2))
+        rho = qd.validate_density_matrix(u @ base.matrix @ u.conj().T, base.layout)
+        noisy = perturb_state(rho, 0.0, seed)
+        assert noisy.factor.shape == rho.factor.shape
+        assert qd.broadcast_distance_bound(noisy, "S") < 1e-12
+

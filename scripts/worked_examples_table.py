@@ -40,8 +40,9 @@ def main():
         sqd = rep.sqd
         m = f"{rep.m_sqd:8.4f}" if rep.m_sqd is not None else "   undef"
         si = "-" if rep.independence is None else str(rep.independence.holds)
+        discord = qd.discord(rho, "S", frag).value  # rounding negatives clamped
         print(f"{name:<32} {sqd.mutual_info:8.4f} {sqd.holevo:8.4f} "
-              f"{sqd.discord:8.4f} {sqd.system_entropy:8.4f} {m} {rep.eta:8.4f}  "
+              f"{discord:8.4f} {sqd.system_entropy:8.4f} {m} {rep.eta:8.4f}  "
               f"{str(sqd.holds):<5} {str(rep.sbs.holds):<5} {si}")
     return 0
 

@@ -150,6 +150,23 @@ class SubsystemLayout:
         return cls(tuple(labels), tuple(dims), system)
 
 
+def _pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] float pairs."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def _from_pairs(data: object, key: str) -> np.ndarray:
+    """The complex 2-D array of nested lists of [re, im] number pairs."""
+    try:
+        parts = np.array(data)
+    except ValueError:  # ragged nesting
+        parts = None
+    if (parts is None or parts.dtype.kind not in "iuf" or parts.ndim != 3
+            or parts.shape[2] != 2):
+        raise DimensionMismatch(f"{key!r} must be a 2-D array of [re, im] number pairs")
+    return parts[..., 0] + 1j * parts[..., 1]
+
+
 def _check_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -183,10 +200,11 @@ class DensityMatrix:
         return self.layout.total_dim
 
     def to_dict(self) -> dict:
-        return {
-            "layout": self.layout.to_dict(),
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix],
-        }
+        """The JSON state format: the factor when it has fewer columns than
+        rows, otherwise the matrix."""
+        d, r = self.factor.shape
+        key, a = ("factor", self.factor) if r < d else ("matrix", self.matrix)
+        return {"layout": self.layout.to_dict(), key: _pairs(a)}
 
 
 @dataclass(frozen=True)
@@ -387,12 +405,14 @@ class ProjectiveMeasurement:
     def to_dict(self) -> dict:
         return {
             "subsystem": self.subsystem,
-            "basis": [[[z.real, z.imag] for z in row] for row in self.basis],
+            "basis": _pairs(self.basis),
         }
 
 
 def save_state(rho: DensityMatrix, path_or_file: str | IO[str]) -> None:
-    """Write the JSON state format (full-precision floats via repr round-trip)."""
+    """Write the JSON state format: a ``"layout"`` list and either ``"factor"``
+    (the d x r factor V, written when r < d) or ``"matrix"`` (the d x d matrix,
+    written otherwise), each as nested [re, im] pairs of repr-exact floats."""
     payload = rho.to_dict()
     if hasattr(path_or_file, "write"):
         json.dump(payload, path_or_file)
@@ -402,7 +422,9 @@ def save_state(rho: DensityMatrix, path_or_file: str | IO[str]) -> None:
 
 
 def load_state(path_or_file: str | IO[str]) -> DensityMatrix:
-    """Read and validate a state from the JSON state format."""
+    """Read a state from the JSON state format.  The file holds exactly one of
+    ``"factor"``, checked by :func:`validate_factor`, and ``"matrix"``, checked
+    by :func:`validate_density_matrix` and kept bit-exact as the state's matrix."""
     if hasattr(path_or_file, "read"):
         payload = json.load(path_or_file)
     else:
@@ -411,16 +433,13 @@ def load_state(path_or_file: str | IO[str]) -> DensityMatrix:
     if not isinstance(payload, dict) or not isinstance(payload.get("layout"), list):
         raise InvalidLayout("a state file holds an object with a 'layout' list")
     layout = SubsystemLayout.from_dict(payload["layout"])
-    try:
-        parts = np.array(payload.get("matrix"))
-    except ValueError:  # ragged nesting
-        parts = None
-    # the parsed lists take several times the matrix's memory; free them before
-    # validation's eigendecomposition allocates
-    del payload
-    if (parts is None or parts.dtype.kind not in "iuf" or parts.ndim != 3
-            or parts.shape[0] != parts.shape[1] or parts.shape[2] != 2):
-        raise DimensionMismatch("'matrix' must be a d x d array of [re, im] number pairs")
-    matrix = parts[..., 0] + 1j * parts[..., 1]
-    del parts
-    return validate_density_matrix(matrix, layout)
+    keys = [k for k in ("factor", "matrix") if k in payload]
+    if len(keys) != 1:
+        raise DimensionMismatch("a state file holds exactly one of 'factor' and 'matrix'")
+    key = keys[0]
+    # popped, so the parsed lists (several times the array's memory) are freed
+    # before validation allocates
+    a = _from_pairs(payload.pop(key), key)
+    if key == "factor":
+        return validate_factor(a, layout)
+    return validate_density_matrix(a, layout)

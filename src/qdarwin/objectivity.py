@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     BORDERLINE_FACTOR,
     DEGENERACY_GAP,
+    EPS_NUM,
     TOL_CMI,
     TOL_OFFDIAG,
     TOL_OVERLAP,
@@ -272,15 +273,15 @@ def check_strong_independence(rho: DensityMatrix, system: str,
 
 def _independence(rho: DensityMatrix, system: str,
                   subenvs: Sequence[str]) -> IndependenceVerdict | None:
-    """Worst pairwise I(E_j:E_k|S); None for fewer than two subenvironments."""
+    """Worst pairwise I(E_j:E_k|S); None for fewer than two subenvironments.
+    The reported pair is the first, in layout order, within ``EPS_NUM`` of the
+    worst, so pairs that tie in exact arithmetic are not told apart by rounding."""
     if len(subenvs) < 2:
         return None
-    worst = 0.0
-    worst_pair: tuple[str, str] | None = None
-    for a, b in itertools.combinations(subenvs, 2):
-        cmi = conditional_mutual_information(rho, [a], [b], [system])
-        if cmi >= worst:
-            worst, worst_pair = cmi, (a, b)
+    cmis = {(a, b): conditional_mutual_information(rho, [a], [b], [system])
+            for a, b in itertools.combinations(subenvs, 2)}
+    worst = max(0.0, *cmis.values())
+    worst_pair = next((pair for pair, cmi in cmis.items() if cmi >= worst - EPS_NUM), None)
     return IndependenceVerdict(worst <= TOL_CMI, worst_pair, worst, TOL_CMI)
 
 

@@ -26,3 +26,10 @@ def rng():
 def random_state(seed: int, layout=None, rank=None):
     layout = layout if layout is not None else RANDOM_LAYOUTS[seed % len(RANDOM_LAYOUTS)]
     return make_random_density(seed, layout, rank)
+
+
+def matrix_payload(rho):
+    """State-file payload of ``rho`` holding its ``"matrix"``, whatever its rank,
+    encoded element by element."""
+    return {"layout": rho.layout.to_dict(),
+            "matrix": [[[z.real, z.imag] for z in row] for row in rho.matrix]}

@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdarwin as qd
 from qdarwin import errors
 from qdarwin.cli import main
+
+from conftest import matrix_payload
 
 
 def run(args):
@@ -34,6 +40,44 @@ MALFORMED = {
     "fractional-dim": lambda p: _set(p, ["layout", 0, "dim"], 2.9),
     "string-dim": lambda p: _set(p, ["layout", 0, "dim"], "2"),
 }
+
+# edits of a rank-deficient state's payload, which holds its "factor"
+MALFORMED_FACTOR = {
+    "string-entry": lambda p: _set(p, ["factor", 0, 0], "ab"),
+    "null-entry": lambda p: _set(p, ["factor", 0, 0], None),
+    "ragged-rows": lambda p: _set(p, ["factor", 0], p["factor"][0][:-1]),
+    "wrong-row-count": lambda p: _set(p, ["factor"], p["factor"][:-1]),
+    "nan-entry": lambda p: _set(p, ["factor", 0, 0], [float("nan"), 0.0]),
+    "trace-not-one": lambda p: _set(p, ["factor", 0, 0], [5.0, 0.0]),
+    "both-keys": lambda p: {**p, **matrix_payload(qd.make_horodecki(0.3))},
+    "neither-key": lambda p: {"layout": p["layout"]},
+}
+
+
+def _assert_rejected(payload, path):
+    path.write_text(json.dumps(payload))
+    with pytest.raises(errors.QDarwinError):
+        qd.load_state(str(path))
+    for command in (["analyze", str(path)],
+                    ["scan", str(path), "--delta", "0.1", "--seed", "1"]):
+        assert run(command) == 2
+
+
+def _assert_close(a, b, path=""):
+    """Equal JSON values, floats within 1e-10."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            _assert_close(a[k], b[k], f"{path}/{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert b == pytest.approx(a, abs=1e-10), path
+    else:
+        assert a == b, path
+
 
 # each command names a flag its subcommand does not take
 UNTAKEN_FLAGS = {
@@ -202,13 +246,14 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("edit", list(MALFORMED), ids=list(MALFORMED))
     def test_malformed_file_exits_2(self, tmp_path, edit):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(MALFORMED[edit](qd.make_horodecki(0.3).to_dict())))
-        with pytest.raises(errors.QDarwinError):
-            qd.load_state(str(bad))
-        for command in (["analyze", str(bad)],
-                        ["scan", str(bad), "--delta", "0.1", "--seed", "1"]):
-            assert run(command) == 2
+        _assert_rejected(MALFORMED[edit](matrix_payload(qd.make_horodecki(0.3))),
+                         tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("edit", list(MALFORMED_FACTOR), ids=list(MALFORMED_FACTOR))
+    def test_malformed_factor_file_exits_2(self, tmp_path, edit):
+        payload = qd.make_horodecki(0.3).to_dict()
+        assert "factor" in payload
+        _assert_rejected(MALFORMED_FACTOR[edit](payload), tmp_path / "bad.json")
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["analyze", str(tmp_path / "absent.json")]) == 2
@@ -253,12 +298,51 @@ class TestAnalyze:
         assert exc.value.code == 2
 
     def test_invalid_state_exits_2(self, tmp_path):
-        rho = qd.make_horodecki(0.3)
-        payload = rho.to_dict()
+        payload = matrix_payload(qd.make_horodecki(0.3))
         payload["matrix"][0][0] = [0.8, 0.0]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert run(["analyze", str(bad)]) == 2
+
+
+class TestFileForms:
+    """A state read from its factor file and from its matrix file."""
+
+    @staticmethod
+    def _both_files(tmp_path, make_args):
+        factor, matrix = tmp_path / "factor.json", tmp_path / "matrix.json"
+        assert run(["make", *make_args, "-o", str(factor)]) == 0
+        assert "factor" in json.loads(factor.read_text())
+        matrix.write_text(json.dumps(matrix_payload(qd.load_state(str(factor)))))
+        return factor, matrix
+
+    @pytest.mark.parametrize("make_args", [
+        ["ghz", "--n", "4"],
+        ["appendix-b1", "--n", "2", "--p1", "0.3"],
+        ["cq", "--overlap", "0.5", "--seed", "3", "--subenvs", "2"],
+        ["random-sbs", "--seed", "2", "--subenvs", "3"],
+    ], ids=["ghz", "appendix-b1", "cq", "random-sbs"])
+    def test_analyze_and_scan_agree(self, tmp_path, make_args):
+        outputs = []
+        for state in self._both_files(tmp_path, make_args):
+            rep, curve, red = (tmp_path / f"{state.stem}.{ext}"
+                               for ext in ("rep.json", "csv", "red.json"))
+            assert run(["analyze", str(state), "-o", str(rep)]) == 0
+            assert run(["scan", str(state), "--delta", "0.1", "--seed", "1",
+                        "--out-csv", str(curve), "--report", str(red)]) == 0
+            rows = [[float(x) for x in row]
+                    for row in csv.reader(curve.read_text().splitlines()[1:])]
+            outputs.append([json.loads(rep.read_text()), rows, json.loads(red.read_text())])
+        _assert_close(*outputs)
+
+    def test_tied_pairs_report_the_first_worst_pair(self, tmp_path):
+        # all three pairs carry 1 bit; rounding orders them differently per file
+        for state in self._both_files(tmp_path, ["appendix-b2", "--n", "3", "--p1", "0.4"]):
+            rep = tmp_path / "rep.json"
+            assert run(["analyze", str(state), "-o", str(rep)]) == 0
+            verdict = json.loads(rep.read_text())["strong_independence"]
+            assert verdict["worst_pair"] == ["E1", "E2"]
+            assert verdict["worst_cmi_bits"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScan:
@@ -430,3 +514,54 @@ class TestAppendixC:
             p = float(row["p"])
             expected = qd.zoo.horodecki_holevo_closed_form(p)
             assert float(row["chi_closed_form"]) == expected
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2 ** 70) | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+def _paths(node, path=()):
+    """Every path into a JSON value, the root's () first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@given(data=st.data(), form=st.sampled_from(["factor", "matrix"]))
+@settings(max_examples=150, deadline=None)
+def test_mutated_state_files_exit_0_or_2(data, form):
+    """Up to three replacements, deletions or insertions anywhere in a valid
+    state file never make ``analyze`` raise."""
+    rho = qd.make_horodecki(0.3)
+    payload = rho.to_dict() if form == "factor" else matrix_payload(rho)
+    assert form in payload
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(payload))))
+        value = data.draw(JSON_VALUES)
+        if not path:
+            payload = value
+            continue
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "insert" and isinstance(parent, list):
+            parent.insert(path[-1], value)
+        else:
+            parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        state = os.path.join(tmp, "state.json")
+        with open(state, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        assert run(["analyze", state]) in (0, 2)

@@ -11,7 +11,7 @@ from qdarwin import errors
 from qdarwin.zoo import horodecki_p_tilde
 
 import oracles
-from conftest import random_state
+from conftest import matrix_payload, random_state
 
 
 def bell_state():
@@ -276,26 +276,63 @@ class TestMeasurementValidation:
 class TestStateFile:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rho = qd.make_horodecki(1 / 3)
+        assert rho.factor.shape[1] < rho.dim
         path = tmp_path / "state.json"
         qd.save_state(rho, str(path))
+        assert set(json.loads(path.read_text())) == {"layout", "factor"}
+        back = qd.load_state(str(path))
+        assert np.array_equal(back.factor, rho.factor)
+        assert np.array_equal(back.matrix, rho.matrix)
+        assert back.layout == rho.layout
+
+    @pytest.mark.parametrize("case", ["random-8", "random-16", "negative-zeros"])
+    def test_full_rank_state_writes_its_matrix_bit_exact(self, tmp_path, case):
+        if case == "negative-zeros":
+            m = np.eye(4, dtype=complex) / 4
+            m[0, 1], m[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+            rho = qd.validate_density_matrix(m, qd.std_layout(2, [2]))
+        else:
+            rho = random_state(1 if case == "random-8" else 4)
+        assert rho.factor.shape[1] == rho.dim
+        path = tmp_path / "state.json"
+        qd.save_state(rho, str(path))
+        # the text of the element-by-element encoding, to the byte
+        assert path.read_text() == json.dumps(matrix_payload(rho))
+        if case == "negative-zeros":
+            assert "-0.0," in path.read_text()
         back = qd.load_state(str(path))
         assert np.array_equal(back.matrix, rho.matrix)
         assert back.layout == rho.layout
 
     def test_format_shape(self):
-        rho = qd.make_ghz_reduced(1)
-        buf = io.StringIO()
-        qd.save_state(rho, buf)
-        payload = json.loads(buf.getvalue())
-        assert payload["layout"][0] == {"label": "S", "dim": 2, "role": "system"}
-        assert payload["layout"][1]["role"] == "environment"
-        assert payload["matrix"][0][0] == [0.5, 0.0]
+        full_rank = qd.validate_density_matrix(np.diag([0.5, 0.25, 0.125, 0.125]),
+                                               qd.std_layout(2, [2]))
+        payloads = []
+        for rho in (full_rank, qd.make_ghz_reduced(1)):
+            buf = io.StringIO()
+            qd.save_state(rho, buf)
+            payloads.append(json.loads(buf.getvalue()))
+        for payload in payloads:
+            assert payload["layout"][0] == {"label": "S", "dim": 2, "role": "system"}
+            assert payload["layout"][1]["role"] == "environment"
+        assert "factor" not in payloads[0]
+        assert payloads[0]["matrix"][0][0] == [0.5, 0.0]
+        assert "matrix" not in payloads[1]
+        factor = np.array(payloads[1]["factor"])
+        assert factor.shape == (4, 2, 2)  # d x r [re, im] pairs
+        assert np.sum(factor[0] ** 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_load_rejects_invalid(self, tmp_path):
-        rho = qd.make_ghz_reduced(1)
-        payload = rho.to_dict()
+        payload = matrix_payload(qd.make_ghz_reduced(1))
         payload["matrix"][0][0] = [0.9, 0.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(errors.TraceNotOne):
             qd.load_state(str(path))
+
+    def test_loaded_factor_file_never_forms_its_matrix(self, tmp_path):
+        path = tmp_path / "ghz10.json"
+        qd.save_state(qd.make_ghz_reduced(10), str(path))
+        rho = qd.load_state(str(path))
+        qd.redundancy(rho, "S", 0.1, scan_samples=3)
+        assert "matrix" not in vars(rho)

@@ -25,6 +25,7 @@ def test_worked_examples_table(tmp_path):
     assert len(lines) == 9
     assert lines[2].startswith("reduced GHZ (N=3)")
     assert lines[2].split()[-3:] == ["True", "True", "True"]
+    assert "-0.0000" not in proc.stdout
 
 
 def test_fragment_scan_comparison(tmp_path):

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -156,13 +157,15 @@ def _pairs(a: np.ndarray) -> list:
 
 
 def _from_pairs(data: object, key: str) -> np.ndarray:
-    """The complex 2-D array of nested lists of [re, im] number pairs."""
+    """The complex 2-D array of nested lists of [re, im] number pairs; JSON true
+    and false, which numpy reads as 1 and 0 next to a float, are not numbers."""
     try:
         parts = np.array(data)
     except ValueError:  # ragged nesting
         parts = None
     if (parts is None or parts.dtype.kind not in "iuf" or parts.ndim != 3
-            or parts.shape[2] != 2):
+            or parts.shape[2] != 2
+            or bool in set(map(type, chain.from_iterable(chain.from_iterable(data))))):
         raise DimensionMismatch(f"{key!r} must be a 2-D array of [re, im] number pairs")
     return parts[..., 0] + 1j * parts[..., 1]
 
@@ -337,9 +340,10 @@ def reduced_factor(rho: DensityMatrix, keep: Sequence[str]) -> np.ndarray:
 
 
 def gram_spectrum(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of W W^dagger, from the smaller of W W^dagger and W^dagger W
-    (the two share their nonzero eigenvalues)."""
-    return np.linalg.eigvalsh(w @ w.conj().T if w.shape[0] <= w.shape[1] else w.conj().T @ w)
+    """Eigenvalues of W W^dagger, for W or each matrix of a stack, from the smaller
+    of W W^dagger and W^dagger W (the two share their nonzero eigenvalues)."""
+    w_h = w.conj().swapaxes(-1, -2)
+    return np.linalg.eigvalsh(w @ w_h if w.shape[-2] <= w.shape[-1] else w_h @ w)
 
 
 def reduced_spectrum(rho: DensityMatrix, keep: Iterable[str]) -> np.ndarray:

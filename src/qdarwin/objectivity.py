@@ -44,6 +44,7 @@ from .measures import (
     fidelity,
     pointer_basis,
     pointer_ensemble,
+    pointer_ensembles,
     trace_norm,
 )
 from .optimize import DEFAULT_OPT, OptimizerConfig
@@ -147,8 +148,8 @@ def _strong_darwinism(ens: PointerEnsemble,
     acc = ens.accessible_information(opt, optimize_acc_lower)
     holds = complete(ens)
     checks = []
-    for sf in subfragments:
-        sub = pointer_ensemble(ens.state, ens.system, sf, ens.basis)
+    subs = subfragments and pointer_ensembles(ens.state, ens.system, subfragments, ens.basis)
+    for sf, sub in zip(subfragments, subs):
         sf_holds = complete(sub)
         holds = holds and sf_holds
         checks.append(SubfragmentCheck(tuple(sf), sf_holds, sub.mutual_information,
@@ -454,11 +455,6 @@ class RedundancyReport:
         }
 
 
-def _subsets_by_size(labels: Sequence[str]):
-    for size in range(1, len(labels) + 1):
-        yield from itertools.combinations(labels, size)
-
-
 def _max_disjoint_packing(candidates: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
     """Exact maximum packing of pairwise-disjoint label sets (branch and bound)."""
     best: list[tuple[str, ...]] = []
@@ -510,79 +506,60 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
     h_pointer = entropy_bits(pointer_ensemble(rho, system, subenvs[:1], basis).probabilities)
     threshold = (1.0 - delta) * h_pointer - opt.eps_opt
 
+    # the curve's fragments of each size: all of them, or scan_samples seeded draws
+    rng = np.random.default_rng(seed)
+    samples: list[list[tuple[str, ...]]] = []
+    for size in range(1, len(subenvs) + 1):
+        if math.comb(len(subenvs), size) <= scan_samples:
+            samples.append(list(itertools.combinations(subenvs, size)))
+            continue
+        chosen: set[tuple[str, ...]] = set()
+        while len(chosen) < scan_samples:
+            pick = tuple(sorted(rng.choice(len(subenvs), size=size, replace=False)))
+            chosen.add(tuple(subenvs[i] for i in pick))
+        samples.append(sorted(chosen))
+
     cache: dict[tuple[str, ...], tuple[float, float, float]] = {}
 
-    def evaluate(frag: tuple[str, ...]) -> tuple[float, float, float]:
-        if frag not in cache:
-            ens = pointer_ensemble(rho, system, frag, basis)
+    def qualifying(frags: list[tuple[str, ...]]) -> list[bool]:
+        new = [f for f in dict.fromkeys(frags) if f not in cache]
+        for frag, ens in zip(new, pointer_ensembles(rho, system, new, basis) if new else ()):
             cache[frag] = (ens.holevo, ens.mutual_information, ens.discord)
-        return cache[frag]
+        return [cache[frag][0] >= threshold for frag in frags]
 
-    def qualifies(frag: tuple[str, ...]) -> bool:
-        return evaluate(frag)[0] >= threshold
-
-    witnesses: list[tuple[str, ...]]
-    if strategy == "exhaustive":
-        minimal: list[tuple[str, ...]] = []
-        qualifying_sizes: list[int] = []
-        for frag in _subsets_by_size(subenvs):
-            if any(set(m) <= set(frag) for m in minimal):
-                qualifying_sizes.append(len(frag))
-                continue
-            if qualifies(frag):
-                minimal.append(frag)
-                qualifying_sizes.append(len(frag))
-        witnesses = _max_disjoint_packing(minimal)
-        min_size = min(qualifying_sizes) if qualifying_sizes else 0
-    else:
-        witnesses = []
-        remaining = list(subenvs)
-        min_size = 0
-        while remaining:
-            found = None
-            for frag in _subsets_by_size(remaining):
-                if qualifies(frag):
-                    found = frag
-                    break
-            if found is None:
-                break
-            witnesses.append(found)
-            if min_size == 0:
-                min_size = len(found)
-            remaining = [l for l in remaining if l not in set(found)]
-
-    f_delta_min = (min_size / len(subenvs)) if min_size else 0.0
-
-    rng = np.random.default_rng(seed)
+    # chi only grows with the fragment at a fixed basis (data processing), so
+    # nothing qualifies unless the union of the subenvironments left does.  Size
+    # by size, open candidates go to the kernel with the curve's samples; ``found``
+    # holds minimal fragments (exhaustive) or witnesses (greedy: all earlier failed).
+    found: list[tuple[str, ...]] = []
+    remaining = list(subenvs)
     curve: list[ScanPoint] = []
     failures: list[DiscordBoundRecord] = []
     skipped = 0
-    n = len(subenvs)
-    for size in range(1, n + 1):
-        total = math.comb(n, size)
-        if total <= scan_samples:
-            sample = list(itertools.combinations(subenvs, size))
-        else:
-            chosen: set[tuple[str, ...]] = set()
-            while len(chosen) < scan_samples:
-                pick = tuple(sorted(rng.choice(n, size=size, replace=False)))
-                chosen.add(tuple(subenvs[i] for i in pick))
-            sample = sorted(chosen)
-        chis, discords, mis = [], [], []
-        for frag in sample:
-            chi, mi, d = evaluate(frag)
-            chis.append(chi)
-            discords.append(d)
-            mis.append(mi)
+    for size, sample in enumerate(samples, start=1):
+        open_: list[tuple[str, ...]] = []
+        if remaining and qualifying([tuple(remaining)])[0]:
+            open_ = [f for f in itertools.combinations(remaining, size)
+                     if not any(set(m) <= set(f) for m in found)]
+        for frag, ok in zip(open_, qualifying(open_ + sample)):
+            if ok and set(frag) <= set(remaining):
+                found.append(frag)
+                if strategy == "greedy":
+                    remaining = [l for l in remaining if l not in frag]
+        values = [cache[frag] for frag in sample]
+        for frag, (chi, mi, d) in zip(sample, values):
             if chi >= (1.0 - delta) * h_pointer:
                 if mi <= h_pointer + opt.eps_opt:
                     if d > delta * h_pointer + opt.eps_opt:
                         failures.append(DiscordBoundRecord(frag, chi, d, mi, True, False))
                 else:
                     skipped += 1
-        curve.append(ScanPoint(size / n, float(np.mean(chis)),
+        chis, mis, discords = zip(*values)
+        curve.append(ScanPoint(size / len(subenvs), float(np.mean(chis)),
                                float(np.mean(discords)), float(np.mean(mis)),
                                len(sample)))
+    witnesses = _max_disjoint_packing(found) if strategy == "exhaustive" else found
+    f_delta_min = len(found[0]) / len(subenvs) if found else 0.0
 
     return RedundancyReport(delta, len(witnesses), tuple(witnesses), f_delta_min,
                             tuple(curve), strategy, h_pointer,

@@ -127,6 +127,18 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.svd(factor(a).conj().T @ factor(b), compute_uv=False).sum())
 
 
+def pointer_branches(rho: np.ndarray, d_sys: int, kets) -> list:
+    """(p_i, (<i| x 1) rho (|i> x 1)) for each ket of a system-first joint state,
+    each block taken through an explicit Kronecker isometry."""
+    d_frag = rho.shape[0] // d_sys
+    out = []
+    for k in kets:
+        iso = np.kron(k.conj()[None, :], np.eye(d_frag))
+        block = iso @ rho @ iso.conj().T
+        out.append((float(block.trace().real), block))
+    return out
+
+
 def block_split(rho: np.ndarray, d_sys: int, kets) -> dict:
     """Pointer-block split of a system-first joint state at the pointer ``kets``.
 

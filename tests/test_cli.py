@@ -39,6 +39,11 @@ MALFORMED = {
     "top-level-list": lambda p: [p],
     "fractional-dim": lambda p: _set(p, ["layout", 0, "dim"], 2.9),
     "string-dim": lambda p: _set(p, ["layout", 0, "dim"], "2"),
+    # numpy reads true next to a float as 1.0: both would load as |00><00|
+    "bool-matrix-entry": lambda p: _set(p, ["matrix"], [
+        [[True, 0.0] if i == j == 0 else [0.0, 0.0] for j in range(4)] for i in range(4)]),
+    "bool-factor-entry": lambda p: {"layout": p["layout"],
+                                    "factor": [[[True, 0.0]]] + [[[0.0, 0.0]]] * 3},
 }
 
 # edits of a rank-deficient state's payload, which holds its "factor"

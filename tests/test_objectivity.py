@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdarwin as qd
-from qdarwin import errors
+from qdarwin import errors, objectivity
 from qdarwin.zoo import horodecki_holevo_closed_form, theorem_suite
 
 import oracles
@@ -389,6 +390,43 @@ class TestRedundancy:
         assert rep.r_delta == 0
         assert rep.f_delta_min == 0.0
         assert rep.scan_curve[0].mean_holevo == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "exhaustive"])
+    def test_search_stops_when_the_whole_environment_does_not_qualify(
+            self, monkeypatch, strategy):
+        """chi only grows with the fragment, so on S x E with twelve
+        subenvironments the search reads the whole environment and stops: the
+        kernel sees at most that, the fragment giving H(S^Pi) and the curve's one
+        sample per size, where a search by size would read all 4095 fragments."""
+        s = qd.make_random_density(1, qd.SubsystemLayout.of(("S", 2), system="S"))
+        env = qd.make_random_density(
+            2, qd.SubsystemLayout.of(*((f"E{k}", 2) for k in range(1, 13)), system=None),
+            rank=1)
+        rho = qd.tensor([s, env])
+        seen = []
+        kernel = objectivity.pointer_ensembles
+
+        def spy(state, system, fragments, basis):
+            seen.extend(fragments)
+            return kernel(state, system, fragments, basis)
+
+        monkeypatch.setattr(objectivity, "pointer_ensembles", spy)
+        rep = qd.redundancy(rho, "S", 0.1, strategy=strategy, scan_samples=1)
+        assert rep.r_delta == 0 and rep.witness_fragments == ()
+        assert len(seen) <= 2 + 12
+
+    def test_stacks_bound_the_memory_of_a_scan(self):
+        """A layer of GHZ N = 8 fragments is split in stacks of at most
+        ``STACK_BYTES`` of factors: one unbounded stack peaks near 3.3 MiB."""
+        qd.redundancy(qd.make_ghz_reduced(3), "S", 0.01, strategy="exhaustive")
+        rho = qd.make_ghz_reduced(8)
+        tracemalloc.start()
+        try:
+            qd.redundancy(rho, "S", 0.01, strategy="exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_greedy_matches_exhaustive_on_broadcast_states(self):
         for seed in (0, 3, 5):

@@ -143,6 +143,62 @@ def test_fragment_bound_matches_dense_oracle(make):
                    - (want["trace_norm"] + want["fidelity_sum"])) <= TOL, frag
 
 
+def zero_branch_state():
+    """A qutrit system whose rho_S has rank 2: one pointer branch has probability 0."""
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+    v[8:] = 0.0
+    return qd.validate_factor(v / np.linalg.norm(v), qd.std_layout(3, [2, 2]))
+
+
+KERNEL_STATES = {
+    # single subenvironments of dims 2, 3, 2, 4 fall in three groups, pairs in four
+    "dims-2x[2,3,2,4]": lambda: qd.make_random_density(
+        5, qd.std_layout(2, [2, 3, 2, 4]), rank=2),
+    "rank-3": lambda: qd.make_random_density(6, qd.std_layout(3, [2, 2, 2]), rank=3),
+    "ghz-10": lambda: qd.make_ghz_reduced(10),
+    "degenerate-rho-s": lambda: qd.make_cq_state(3, [0.5, 0.5], 0.4, 3),
+    "zero-branch": zero_branch_state,
+    "system-in-middle": system_in_middle,
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_STATES))
+def test_stacked_kernel_matches_dense_oracle(name):
+    """Every fragment of one pointer_ensembles call, mixed sizes and dimensions
+    together, against a dense split of its own (system, fragment) reduction."""
+    rho = KERNEL_STATES[name]()
+    m = rho.matrix
+    labels, dims = rho.layout.labels, rho.layout.dims
+    system = rho.layout.system
+    s = labels.index(system)
+    env = rho.layout.environment_labels
+    if name == "ghz-10":
+        # 64 KiB per factor: each size layer spans several stacks
+        assert qd.measures.STACK_BYTES // rho.factor.nbytes < len(env)
+        frags = [c for k in (1, 2) for c in itertools.combinations(env, k)]
+    else:
+        frags = subsets(env)
+    basis = qd.pointer_basis(rho, system)
+    ensembles = qd.measures.pointer_ensembles(rho, system, frags, basis)
+    h_s = oracles.entropy(oracles.partial_trace(m, dims, [s]))
+    for frag, ens in zip(frags, ensembles):
+        f = [labels.index(l) for l in frag]
+        joint = oracles.partial_trace(m, dims, [s, *f])
+        branches = oracles.pointer_branches(joint, dims[s], basis.basis.T)
+        h_f = oracles.entropy(oracles.partial_trace(m, dims, f))
+        h_sf = oracles.entropy(joint)
+        h_cond = sum(p * oracles.entropy(b / p) for p, b in branches if p > 1e-12)
+        got = (*ens.probabilities, ens.h_f, ens.h_sf, ens.h_f_given_s, ens.holevo,
+               ens.mutual_information)
+        want = (*(p for p, _ in branches), h_f, h_sf, h_cond, h_f - h_cond,
+                h_s + h_f - h_sf)
+        assert ens.fragment == frag
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, frag
+    if name == "zero-branch":
+        assert min(ensembles[0].probabilities) < 1e-20
+
+
 class TestFactor:
     def test_validation_cuts_the_rank(self):
         rho = qd.make_random_density(4, qd.std_layout(2, [2, 2]), rank=2)

@@ -402,10 +402,6 @@ class ProjectiveMeasurement:
     def computational(cls, subsystem: str, dim: int) -> "ProjectiveMeasurement":
         return cls(subsystem, _freeze(np.eye(dim, dtype=complex)))
 
-    @property
-    def outcomes(self) -> int:
-        return self.basis.shape[1]
-
     def to_dict(self) -> dict:
         return {
             "subsystem": self.subsystem,

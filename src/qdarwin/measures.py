@@ -6,18 +6,19 @@ pointer ensemble {p_i, rho_F|i} of a system S and a fragment F.  One kernel,
 from the factors W of their (S, F) reductions: fragments of one dimension go
 in stacks of at most ``STACK_BYTES``, one rotation splits a stack into branch
 factors W_i = (<i| x 1) W with p_i = |W_i|_F^2, and batched Gram spectra give
-the conditionals, H(F) and H(SF), the latter two through the state's memo.
-The budget bounds the branch and Gram copies a stack adds to the factors.
-The pointer blocks W_i W_j^dagger, which the broadcast detector and the
-distance bound read, the conditionals and rho_F are formed only when read; the
-bound's fidelities ||W_i^dagger W_j||_1 / sqrt(p_i p_j) need only the branch
-factors, each cut to d_f columns by a QR decomposition first.
+the conditionals, H(F) and H(SF), the latter two through the state's memo;
+rho_S is read from the first factor.  The budget bounds the branch and Gram
+copies a stack adds to the factors.  The pointer blocks W_i W_j^dagger, which
+the broadcast detector and the distance bound read, the conditionals and rho_F
+are formed only when read; the bound's fidelities ||W_i^dagger W_j||_1 /
+sqrt(p_i p_j) need only the branch factors, each cut to d_f columns by a QR
+decomposition first.
 
 One rule chooses the basis: the canonical eigenbasis of rho_S, any degenerate
 cluster refined against fragment probes of the same factor.  Inside a cluster
 every basis gives the same H(S^Pi), so every measure and verdict reads the one
 observable the fragment records.  Measurement optimization happens on the
-fragment side, in the accessible-information lower bound.
+fragment side, in the accessible-information lower bound (:func:`_classical_mi`).
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ class AccessibleInfoBounds:
     gap: float = 0.0
     iterations: int = 0
     capped: int = 0
+
+    def to_dict(self) -> dict:
+        return {"lower_bits": self.lower, "upper_bits": self.upper, "exact": self.exact,
+                "lower_optimized": self.lower_optimized, "restarts": self.restarts,
+                "iterations": self.iterations, "gap_bits": self.gap, "capped": self.capped}
 
 
 def entropy_bits(probs: Iterable[float]) -> float:
@@ -198,7 +204,7 @@ def branch_decomposition(rho: DensityMatrix, system: str,
     """
     ens = pointer_ensemble(rho, system, [l for l in rho.layout.labels if l != system],
                            basis)
-    return ens.probabilities, list(ens.conditionals)
+    return ens.probabilities, [None if c is None else c.matrix for c in ens.conditional_states]
 
 
 @dataclass(frozen=True)
@@ -208,9 +214,9 @@ class PointerEnsemble:
     ``eigenvalues`` are those of rho_S in descending order.  ``branch_factors[i]``
     is W_i = (<i| x 1) W for the factor W of the (S, F) reduction, so
     p_i rho_F|i = W_i W_i^dagger.  Entropies are in bits; ``h_f_given_s`` is
-    sum_i p_i H(rho_F|i).  ``branch_factors``, ``blocks`` and ``conditionals`` (None
-    for a branch with probability below ``TOL_PROB``) are formed on first read, so
-    the ensembles of a scan hold no factor.
+    sum_i p_i H(rho_F|i).  ``blocks``, ``conditional_states`` (None for a branch with
+    probability below ``TOL_PROB``) and, but on :func:`pointer_ensemble`'s, the branch
+    factors are formed on first read, so the ensembles of a scan hold no factor.
     """
 
     system: str
@@ -242,10 +248,6 @@ class PointerEnsemble:
         layout = self.state.layout.subset(self.fragment, system=None)
         return tuple(validate_factor(b / np.sqrt(p), layout) if p > TOL_PROB else None
                      for b, p in zip(self.branch_factors, self.probabilities))
-
-    @cached_property
-    def conditionals(self) -> tuple[np.ndarray | None, ...]:
-        return tuple(None if c is None else c.matrix for c in self.conditional_states)
 
     @property
     def mutual_information(self) -> float:
@@ -288,17 +290,17 @@ class PointerEnsemble:
         """
         chi = self.holevo
         ps, states = self.live()
-        cs = [c.matrix for c in states]
-        if not cs:
+        if not states:
             return AccessibleInfoBounds(0.0, chi, True, False)
+        cs = np.stack([c.matrix for c in states])
         if all(np.linalg.norm(ci @ cj - cj @ ci) < TAU_COMM for ci, cj in combinations(cs, 2)):
-            lower = classical_mutual_information(ps, cs, common_eigenbasis([np.stack(cs)]))
+            lower = classical_mutual_information(ps, cs, common_eigenbasis([cs]))
             return AccessibleInfoBounds(lower, chi, True, False)
         if not optimize_lower:
             _, vecs = eig_hermitian(partial_trace(self.state, self.fragment).matrix)
             lower = classical_mutual_information(ps, cs, vecs)
             return AccessibleInfoBounds(lower, chi, False, False)
-        result = maximize_over_bases(partial(_classical_mi, ps, np.stack(cs)), len(cs[0]), opt)
+        result = maximize_over_bases(partial(_classical_mi, ps, cs), len(cs[0]), opt)
         return AccessibleInfoBounds(min(result.value, chi + opt.eps_opt), chi, False, True,
                                     result.restarts, result.gap, result.iterations,
                                     result.capped)
@@ -308,13 +310,17 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
                      basis: ProjectiveMeasurement | None = None) -> PointerEnsemble:
     """The :func:`pointer_ensembles` kernel on one fragment, at ``basis`` or by
     default at the canonical eigenbasis of rho_S, its degenerate clusters refined
-    against this fragment's probes (:func:`_probe_stacks`)."""
-    if basis is None:
-        _disjoint([system], fragment)
-        w = reduced_factor(rho, (system, *rho.layout.require(fragment)))
-        w_s = w.reshape(rho.layout.dim_of(system), -1)
-        basis = _pointer(system, w_s @ w_s.conj().T, w)
-    return pointer_ensembles(rho, system, [fragment], basis)[0]
+    against this fragment's probes (:func:`_probe_stacks`).  The (S, F) factor is
+    formed once, and the ensemble keeps its branch factors."""
+    frag = rho.layout.require(fragment)
+    _disjoint([system], frag)
+    w = reduced_factor(rho, (system, *frag))
+    w_s = w.reshape(rho.layout.dim_of(system), -1)
+    rho_s = w_s @ w_s.conj().T
+    basis = _pointer(system, rho_s, w) if basis is None else basis
+    [ens], branches = _stack_ensembles(rho, system, [frag], basis, w[None], rho_s)
+    object.__setattr__(ens, "branch_factors", branches[0])  # the cached_property's value
+    return ens
 
 
 # Bytes of (S, F) factors in one stack of :func:`pointer_ensembles`.  Each has
@@ -333,40 +339,48 @@ def pointer_ensembles(rho: DensityMatrix, system: str,
     for frag in frags:
         _disjoint([system], frag)
     d_s = rho.layout.dim_of(system)
-    if basis.basis.shape[0] != d_s:
-        raise DimensionMismatch(
-            f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
-    w_s = reduced_factor(rho, [system])
-    rho_s = w_s @ w_s.conj().T
-    eigenvalues = np.linalg.eigvalsh((rho_s + rho_s.conj().T) / 2.0)[::-1]
-    h_s = float(_spectrum_entropy(eigenvalues))
     groups: dict[int, list[int]] = {}
     for k, frag in enumerate(frags):
         groups.setdefault(math.prod(map(rho.layout.dim_of, frag)), []).append(k)
     per_stack = max(1, STACK_BYTES // rho.factor.nbytes)
-    out = {}
+    out, rho_s = {}, None
     for d_f, members in groups.items():
         for chunk in (members[i:i + per_stack] for i in range(0, len(members), per_stack)):
-            n, c = len(chunk), rho.factor.size // (d_s * d_f)
-            w = np.empty((n, d_s * d_f, c), dtype=complex)
+            w = np.empty((len(chunk), d_s * d_f, rho.factor.size // (d_s * d_f)), dtype=complex)
             for j, k in enumerate(chunk):
                 w[j] = reduced_factor(rho, (system, *frags[k]))
-            h_sf = _memo_entropies(rho, [tuple(l for l in rho.layout.labels
-                                               if l == system or l in frags[k])
-                                         for k in chunk], w, d_s * d_f)
-            h_f = _memo_entropies(rho, [frags[k] for k in chunk],
-                                  w.reshape(n, d_s, d_f, c).transpose(0, 2, 1, 3), d_f)
-            branches = _split(basis, w)
-            probs = np.einsum("nifc,nifc->ni", branches.conj(), branches).real
-            live = probs > TOL_PROB
-            cond = _spectrum_entropy(gram_spectrum(branches)
-                                     / np.where(live, probs, 1.0)[..., None])
-            h_f_given_s = np.where(live, probs * cond, 0.0).sum(axis=1)
-            for j, k in enumerate(chunk):
-                out[k] = PointerEnsemble(system, frags[k], rho, eigenvalues, basis, probs[j],
-                                         h_s, float(h_f[j]), float(h_sf[j]),
-                                         float(h_f_given_s[j]))
+            if rho_s is None:  # any (S, F) factor is a factor of rho_S; keep no view of w
+                rho_s = w[0].reshape(d_s, -1) @ w[0].reshape(d_s, -1).conj().T
+            ensembles, _ = _stack_ensembles(rho, system, [frags[k] for k in chunk], basis,
+                                            w, rho_s)
+            out.update(zip(chunk, ensembles))
     return [out[k] for k in range(len(frags))]
+
+
+def _stack_ensembles(rho: DensityMatrix, system: str, frags: list[tuple[str, ...]],
+                     basis: ProjectiveMeasurement, w: np.ndarray, rho_s: np.ndarray
+                     ) -> tuple[list[PointerEnsemble], np.ndarray]:
+    """The ensembles of one stack of fragments of one dimension, whose (S, F) factors
+    are ``w``, and their branch factors."""
+    n, d_s = len(w), rho_s.shape[0]
+    if basis.basis.shape[0] != d_s:
+        raise DimensionMismatch(
+            f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
+    eigenvalues = np.linalg.eigvalsh((rho_s + rho_s.conj().T) / 2.0)[::-1]
+    h_s = float(_spectrum_entropy(eigenvalues))
+    d_f = w.shape[1] // d_s
+    h_sf = _memo_entropies(rho, [tuple(l for l in rho.layout.labels
+                                       if l == system or l in frag) for frag in frags],
+                           w, d_s * d_f)
+    h_f = _memo_entropies(rho, frags, w.reshape(n, d_s, d_f, -1).transpose(0, 2, 1, 3), d_f)
+    branches = _split(basis, w)
+    probs = np.einsum("nifc,nifc->ni", branches.conj(), branches).real
+    live = probs > TOL_PROB
+    cond = _spectrum_entropy(gram_spectrum(branches) / np.where(live, probs, 1.0)[..., None])
+    h_f_given_s = np.where(live, probs * cond, 0.0).sum(axis=1)
+    return [PointerEnsemble(system, frag, rho, eigenvalues, basis, probs[j], h_s,
+                            float(h_f[j]), float(h_sf[j]), float(h_f_given_s[j]))
+            for j, frag in enumerate(frags)], branches
 
 
 def _split(basis: ProjectiveMeasurement, w: np.ndarray) -> np.ndarray:
@@ -408,31 +422,28 @@ def discord(rho: DensityMatrix, system: str, fragment: Sequence[str]) -> Measure
 def classical_mutual_information(probs: np.ndarray, conds: Sequence[np.ndarray],
                                  basis: np.ndarray) -> float:
     """Classical I(outcome : measurement result) for a fragment measurement basis."""
-    return float(_classical_mi_terms(probs, np.stack(conds), basis[None])[0][0])
-
-
-def _classical_mi_terms(probs: np.ndarray, cond_stack: np.ndarray, bases: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical mutual information, in bits, for each basis of a (R, d, d) stack, and
-    the log2(J_na / P_n Q_a) it sums, in order, over J_na = p_n <u_a|rho_n|u_a> > 1e-15."""
-    born = np.einsum("rja,njk,rka->rna", bases.conj(), cond_stack, bases).real
-    joint = probs[:, None] * np.clip(born, 0.0, None)
-    mask = joint > 1e-15
-    marginals = joint.sum(axis=2, keepdims=True) * joint.sum(axis=1, keepdims=True)
-    log_ratio = np.log2(np.divide(joint, marginals, out=np.ones_like(joint), where=mask))
-    terms, kept = (joint * log_ratio)[mask], mask.sum(axis=(1, 2))
-    if np.all(kept == kept[0]):
-        return terms.reshape(len(bases), -1).sum(axis=1), log_ratio
-    return np.array([t.sum() for t in np.split(terms, np.cumsum(kept)[:-1])]), log_ratio
+    return float(_classical_mi(probs, np.stack(conds), basis[None])[0][0])
 
 
 def _classical_mi(probs: np.ndarray, cond_stack: np.ndarray, bases: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical mutual information and its gradient dI/d(conj U), whose column a is
-    sum_n p_n log2(J_na / P_n Q_a) rho_n u_a up to a term U(d) projects out."""
-    values, log_ratio = _classical_mi_terms(probs, cond_stack, bases)
-    rho_u = np.tensordot(cond_stack, bases, axes=(2, 1))    # rho_n u_a as [n, j, r, a]
-    return values, np.einsum("njra,rna->rja", rho_u, probs[:, None] * log_ratio)
+    """Classical mutual information, in bits, of each basis of a (R, d, d) stack, and its
+    gradient dI/d(conj U), from two matrix products with C, the n conditionals flattened
+    to rows.  J_an = p_n <u_a|rho_n|u_a> is p_n times the real part of the flattened
+    projectors |u_a><u_a| (R d rows) times C^dagger, as [r, a, n]; I sums
+    J_an log2(J_an / P_n Q_a) over J_an > 1e-15, the log being 0 elsewhere.  Column a of
+    the gradient, up to a term U(d) projects out, is sum_n p_n log2(J_an / P_n Q_a) rho_n,
+    the product of those weights with C, applied to u_a."""
+    r, d = bases.shape[:2]
+    c = np.asarray(cond_stack, dtype=complex).reshape(-1, d * d)
+    kets = bases.transpose(0, 2, 1)                                     # u_a as [r, a, j]
+    joint = probs * np.clip((np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C")
+                             .reshape(r * d, -1) @ c.conj().T).real, 0.0, None).reshape(r, d, -1)
+    marginals = np.einsum("ran->ra", joint)[:, :, None] * np.einsum("ran->rn", joint)[:, None, :]
+    log_ratio = np.log2(np.divide(joint, marginals, out=np.ones_like(joint), where=joint > 1e-15))
+    weighted = ((probs * log_ratio).reshape(r * d, -1).astype(complex) @ c).reshape(r, d, d, d)
+    weighted *= kets[:, :, None, :]                                     # [r, a, j, k] u_a[k]
+    return np.einsum("ran,ran->r", joint, log_ratio), np.einsum("rajk->rja", weighted)
 
 
 def common_eigenbasis(stacks: Iterable[np.ndarray]) -> np.ndarray:

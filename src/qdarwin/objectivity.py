@@ -97,9 +97,7 @@ class SqdVerdict:
                 for sf in self.per_subfragment],
             "tolerance_bits": self.tolerance,
             "trivial_zero_entropy": self.trivial,
-            "accessible_information": None if self.acc is None else {
-                "lower_bits": self.acc.lower, "upper_bits": self.acc.upper,
-                "exact": self.acc.exact, "lower_optimized": self.acc.lower_optimized},
+            "accessible_information": None if self.acc is None else self.acc.to_dict(),
         }
 
 
@@ -366,8 +364,7 @@ def objectivity_deficit(rho: DensityMatrix, system: str,
     Zero exactly on bipartite broadcast-structure states; undefined (raises)
     when the system entropy vanishes.
     """
-    frag = _fragment(rho, system, fragment)
-    return _deficit(pointer_ensemble(rho, system, frag, pointer))
+    return _deficit(pointer_ensemble(rho, system, _fragment(rho, system, fragment), pointer))
 
 
 def _deficit(ens: PointerEnsemble) -> float:
@@ -415,8 +412,6 @@ class DiscordBoundRecord:
     holevo: float
     discord: float
     mutual_info: float
-    checked: bool
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -551,7 +546,7 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
             if chi >= (1.0 - delta) * h_pointer:
                 if mi <= h_pointer + opt.eps_opt:
                     if d > delta * h_pointer + opt.eps_opt:
-                        failures.append(DiscordBoundRecord(frag, chi, d, mi, True, False))
+                        failures.append(DiscordBoundRecord(frag, chi, d, mi))
                 else:
                     skipped += 1
         chis, mis, discords = zip(*values)
@@ -593,11 +588,7 @@ class ObjectivityReport:
             "m_sqd": self.m_sqd,
             "m_sqd_undefined_reason": self.m_sqd_undefined_reason,
             "eta": self.eta,
-            "accessible_information": None if self.acc is None else {
-                "lower_bits": self.acc.lower, "upper_bits": self.acc.upper,
-                "exact": self.acc.exact, "lower_optimized": self.acc.lower_optimized,
-                "restarts": self.acc.restarts, "iterations": self.acc.iterations,
-                "gap_bits": self.acc.gap, "capped": self.acc.capped},
+            "accessible_information": None if self.acc is None else self.acc.to_dict(),
             "tolerances": {
                 "offdiag": TOL_OFFDIAG,
                 "overlap": TOL_OVERLAP,

@@ -96,6 +96,28 @@ def classical_mi_grid_max(probs, conds, n_theta: int = 49, n_phi: int = 49) -> f
     return max(best, -float(res.fun))
 
 
+def classical_mi_and_gradient(probs, conds, basis) -> tuple[float, np.ndarray]:
+    """Classical mutual information of measuring the kets ``basis[:, a]`` on the
+    ensemble {p_n, rho_n}, and its gradient dI/d(conj U), whose column a is
+    sum_n p_n log2(J_an / P_n Q_a) rho_n u_a over J_an = p_n <u_a|rho_n|u_a> > 1e-15,
+    both by explicit loops over outcomes and conditionals."""
+    d = basis.shape[1]
+    joint = np.zeros((len(probs), d))
+    for n, (p, c) in enumerate(zip(probs, conds)):
+        for a in range(d):
+            u = basis[:, a]
+            joint[n, a] = p * max(float(np.real(u.conj() @ c @ u)), 0.0)
+    p_n, q_a = joint.sum(axis=1), joint.sum(axis=0)
+    value, grad = 0.0, np.zeros(basis.shape, dtype=complex)
+    for n, (p, c) in enumerate(zip(probs, conds)):
+        for a in range(d):
+            if joint[n, a] > 1e-15:
+                log_ratio = np.log2(joint[n, a] / (p_n[n] * q_a[a]))
+                value += joint[n, a] * log_ratio
+                grad[:, a] += p * log_ratio * (c @ basis[:, a])
+    return value, grad
+
+
 def horodecki_matrix(p: float) -> np.ndarray:
     a, b = np.sqrt(p), np.sqrt(1.0 - p)
     psi1 = np.array([a, 0.0, 0.0, b], dtype=complex)

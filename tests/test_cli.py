@@ -232,14 +232,15 @@ class TestAnalyze:
         assert payload["broadcast_structure"]["holds"] is False
         assert payload["m_sqd"] == pytest.approx(0.5, abs=1e-6)
 
-    def test_capped_restarts_only_in_the_top_level_block(self, tmp_path):
+    def test_capped_restarts_in_both_accessible_information_blocks(self, tmp_path):
         st = tmp_path / "st.json"
         qd.save_state(qd.make_random_density(3000, qd.std_layout(2, [4]), rank=2), str(st))
         rep = tmp_path / "rep.json"
         assert run(["analyze", str(st), "-o", str(rep)]) == 0
         payload = json.loads(rep.read_text())
         assert payload["accessible_information"]["capped"] > 0
-        assert "capped" not in payload["strong_darwinism"]["accessible_information"]
+        assert payload["strong_darwinism"]["accessible_information"] \
+            == payload["accessible_information"]
 
     def test_reports_reproducible(self, tmp_path):
         st = tmp_path / "st.json"

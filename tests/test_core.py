@@ -213,8 +213,8 @@ class TestMeasureSubsystem:
         pt = horodecki_p_tilde(p)
         assert ens.probabilities[0] == pytest.approx(pt, abs=1e-12)
         expected0 = np.diag([p * p, (1 - p) ** 2]) / pt
-        assert np.allclose(ens.conditionals[0], expected0, atol=1e-12)
-        assert np.allclose(ens.conditionals[1], np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(ens.conditional_states[0].matrix, expected0, atol=1e-12)
+        assert np.allclose(ens.conditional_states[1].matrix, np.eye(2) / 2, atol=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

@@ -118,6 +118,48 @@ class TestClassicalInformationGradient:
             assert qd.measures.classical_mutual_information(probs, list(conds), basis) == value
 
 
+def assert_kernel_matches_loop_oracle(probs, conds, bases):
+    values, grads = _classical_mi(probs, conds, bases)
+    for basis, value, grad in zip(bases, values, grads):
+        want_value, want_grad = oracles.classical_mi_and_gradient(probs, conds, basis)
+        assert abs(value - want_value) <= 1e-12
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12
+
+
+class TestClassicalInformationKernel:
+    def test_default_bloch_grid(self):
+        _, probs, conds = ensemble(11, (3, 2))
+        config = OptimizerConfig()
+        thetas = np.linspace(0.0, np.pi, config.theta_points)
+        phis = np.linspace(0.0, 2.0 * np.pi, config.phi_points, endpoint=False)
+        grid = qubit_basis(*(a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij")))
+        assert len(grid) == 2048 and len(probs) == 3
+        assert_kernel_matches_loop_oracle(probs, conds, grid)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4)])
+    def test_haar_bases(self, dims):
+        rng = np.random.default_rng(dims[1])
+        _, probs, conds = ensemble(13, dims)
+        bases = np.stack([haar_random_unitary(rng, dims[1]) for _ in range(20)])
+        assert_kernel_matches_loop_oracle(probs, conds, bases)
+
+    def test_bases_with_and_without_exact_zero_weights(self):
+        # pure conditionals |0><0| and |1><1|: the identity and a phased permutation
+        # give J_an = 0 exactly for some outcomes, Haar bases for none, so the bases of
+        # one stack keep different numbers of terms
+        probs = np.array([0.3, 0.7])
+        conds = np.stack([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]).astype(complex)
+        rng = np.random.default_rng(5)
+        permutation = np.eye(3)[:, [2, 0, 1]] * np.exp(1j * np.array([0.3, 1.1, 2.0]))
+        bases = np.stack([np.eye(3, dtype=complex), haar_random_unitary(rng, 3),
+                          permutation, haar_random_unitary(rng, 3)])
+        born = np.einsum("rja,njk,rka->rna", bases.conj(), conds, bases).real
+        assert [int((b == 0.0).sum()) for b in born] == [4, 0, 4, 0]
+        assert_kernel_matches_loop_oracle(probs, conds, bases)
+        values, _ = _classical_mi(probs, conds, bases)
+        assert values[0] == pytest.approx(qd.entropy_bits(probs), abs=1e-12)
+
+
 class TestAscentOracles:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_rotated_commuting_ensemble_reaches_chi(self, dim):

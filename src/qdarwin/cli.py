@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -239,12 +240,8 @@ def cmd_verify_theorem(args) -> int:
     for index, family, rho in zoo.theorem_suite(seed, args.cases, args.dims_cap,
                                                 args.perturbation):
         witness = verify_equivalence(rho, "S", opt=opt)
-        if not witness.consistent and not witness.borderline:
-            category = "fail"
-        elif witness.borderline:
-            category = "borderline"
-        else:
-            category = "pass"
+        category = ("borderline" if witness.borderline
+                    else "pass" if witness.consistent else "fail")
         counts[category] += 1
         rows.append({
             "index": index,
@@ -295,6 +292,7 @@ def cmd_appendix_c(args) -> int:
     return EXIT_OK
 
 
+@cache  # one parser per process; each call of main parses into a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdarwin",
@@ -317,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="subenvironment dimension cap")
     p_make.add_argument("--spec", default=None, help="broadcast spec JSON path")
     _common_flags(p_make, tol_opt=False)
-    p_make.set_defaults(func=cmd_make)
 
     p_an = sub.add_parser("analyze", help="full objectivity report for one state")
     p_an.add_argument("state", help="state JSON path")
@@ -335,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--format", choices=("json", "csv"), default="json",
                       help="output format")
     _common_flags(p_an)
-    p_an.set_defaults(func=cmd_analyze)
 
     p_scan = sub.add_parser("scan", help="fragment-fraction scan and redundancy count")
     p_scan.add_argument("state", help="state JSON path")
@@ -348,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out-csv", default=None, help="scan curve CSV path")
     p_scan.add_argument("--report", default=None, help="redundancy report JSON path")
     _common_flags(p_scan, out=False)
-    p_scan.set_defaults(func=cmd_scan)
 
     p_thm = sub.add_parser("verify-theorem",
                            help="randomized check of the equivalence "
@@ -358,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--perturbation", type=float, default=1e-2)
     p_thm.add_argument("--report", default=None, help="report JSON path")
     _common_flags(p_thm)
-    p_thm.set_defaults(func=cmd_verify_theorem)
 
     p_app = sub.add_parser("appendix-c",
                            help="closed-form regression sweep over the two-qubit "
@@ -368,16 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_app.add_argument("--tol-num", type=float, default=EPS_NUM,
                        help="tolerance for closed-form quantities, bits")
     _common_flags(p_app, seed=False)
-    p_app.set_defaults(func=cmd_appendix_c)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code; in-process calls share one parser."""
+    args = build_parser().parse_args(argv)
     try:
         _check_bounds(args)
-        return args.func(args)
+        # the handler is looked up by name at each call; the shared parser binds none
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

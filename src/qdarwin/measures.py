@@ -132,9 +132,7 @@ def conditional_mutual_information(rho: DensityMatrix, part_a: Sequence[str],
     h_bc = _entropy_of_labels(rho, b + c)
     h_c = _entropy_of_labels(rho, c) if c else 0.0
     value = h_ac + h_bc - h_c - _entropy_of_labels(rho, a + b + c)
-    if -EPS_NUM <= value < 0.0:
-        return 0.0
-    return value
+    return 0.0 if -EPS_NUM <= value < 0.0 else value
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -422,28 +420,43 @@ def discord(rho: DensityMatrix, system: str, fragment: Sequence[str]) -> Measure
 def classical_mutual_information(probs: np.ndarray, conds: Sequence[np.ndarray],
                                  basis: np.ndarray) -> float:
     """Classical I(outcome : measurement result) for a fragment measurement basis."""
-    return float(_classical_mi(probs, np.stack(conds), basis[None])[0][0])
+    return float(_classical_mi(probs, conds, basis[None], gradient=False)[0][0])
 
 
-def _classical_mi(probs: np.ndarray, cond_stack: np.ndarray, bases: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+# Bytes of a row chunk of either (rows x d^2) product of :func:`_classical_mi`: the default
+# Bloch grid (4,096 rows at d = 2) is one chunk; one basis at d = 1024 asked for 16 GiB.
+MI_CHUNK_BYTES = 256 * 1024
+
+
+def _classical_mi(probs: np.ndarray, cond_stack: np.ndarray, bases: np.ndarray,
+                  gradient: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Classical mutual information, in bits, of each basis of a (R, d, d) stack, and its
-    gradient dI/d(conj U), from two matrix products with C, the n conditionals flattened
-    to rows.  J_an = p_n <u_a|rho_n|u_a> is p_n times the real part of the flattened
-    projectors |u_a><u_a| (R d rows) times C^dagger, as [r, a, n]; I sums
-    J_an log2(J_an / P_n Q_a) over J_an > 1e-15, the log being 0 elsewhere.  Column a of
-    the gradient, up to a term U(d) projects out, is sum_n p_n log2(J_an / P_n Q_a) rho_n,
-    the product of those weights with C, applied to u_a."""
+    gradient dI/d(conj U) unless ``gradient`` is off, from two matrix products with C, the
+    n conditionals flattened to rows, each fed in row chunks of ``MI_CHUNK_BYTES``.
+    J_an = p_n <u_a|rho_n|u_a> is p_n times the real part of the flattened projectors
+    |u_a><u_a| (R d rows) times C^dagger; I sums J_an log2(J_an / P_n Q_a) over
+    J_an > 1e-15, the log being 0 elsewhere.  Column a of the gradient, up to a term U(d)
+    projects out, is sum_n p_n log2(J_an / P_n Q_a) rho_n u_a: those weights times C."""
     r, d = bases.shape[:2]
     c = np.asarray(cond_stack, dtype=complex).reshape(-1, d * d)
-    kets = bases.transpose(0, 2, 1)                                     # u_a as [r, a, j]
-    joint = probs * np.clip((np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C")
-                             .reshape(r * d, -1) @ c.conj().T).real, 0.0, None).reshape(r, d, -1)
+    c_dagger, kets = c.conj().T, bases.transpose(0, 2, 1).reshape(r * d, d)  # u_a as rows
+    step = max(1, MI_CHUNK_BYTES // (16 * d * d))
+    chunks = [slice(i, i + step) for i in range(0, r * d, step)]
+    born = np.concatenate([(np.multiply(kets[k, :, None], kets[k, None, :].conj(), order="C")
+                            .reshape(-1, d * d) @ c_dagger).real for k in chunks])
+    joint = probs * np.clip(born, 0.0, None).reshape(r, d, -1)
     marginals = np.einsum("ran->ra", joint)[:, :, None] * np.einsum("ran->rn", joint)[:, None, :]
     log_ratio = np.log2(np.divide(joint, marginals, out=np.ones_like(joint), where=joint > 1e-15))
-    weighted = ((probs * log_ratio).reshape(r * d, -1).astype(complex) @ c).reshape(r, d, d, d)
-    weighted *= kets[:, :, None, :]                                     # [r, a, j, k] u_a[k]
-    return np.einsum("ran,ran->r", joint, log_ratio), np.einsum("rajk->rja", weighted)
+    values = np.einsum("ran,ran->r", joint, log_ratio)
+    if not gradient:
+        return values, None
+    weights = (probs * log_ratio).reshape(r * d, -1).astype(complex)
+    grads = np.empty((r * d, d), dtype=complex)                         # [(r, a), j]
+    for k in chunks:
+        weighted = (weights[k] @ c).reshape(-1, d, d)
+        weighted *= kets[k, None, :]                                    # [(r, a), j, k] u_a[k]
+        np.einsum("ajk->aj", weighted, out=grads[k])
+    return values, grads.reshape(r, d, d).transpose(0, 2, 1)
 
 
 def common_eigenbasis(stacks: Iterable[np.ndarray]) -> np.ndarray:

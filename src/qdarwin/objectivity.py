@@ -348,9 +348,8 @@ def verify_equivalence(rho: DensityMatrix, system: str,
             break
     if independence is not None and _in_borderline_band(independence.worst_cmi, TOL_CMI):
         reasons.append(f"conditional mutual information {independence.worst_cmi:.3e}")
-    gap = ens.gap
-    if gap < DEGENERACY_GAP * BORDERLINE_FACTOR:
-        reasons.append(f"pointer-basis eigenvalue gap {gap:.3e}")
+    if ens.gap < DEGENERACY_GAP * BORDERLINE_FACTOR:
+        reasons.append(f"pointer-basis eigenvalue gap {ens.gap:.3e}")
     return TheoremWitness(sqd, sbs, independence, consistent,
                           bool(reasons), tuple(reasons))
 
@@ -573,7 +572,6 @@ class ObjectivityReport:
     m_sqd: float | None
     m_sqd_undefined_reason: str | None
     eta: float
-    acc: AccessibleInfoBounds | None
     opt: OptimizerConfig
     seed: int | None = None
 
@@ -588,7 +586,7 @@ class ObjectivityReport:
             "m_sqd": self.m_sqd,
             "m_sqd_undefined_reason": self.m_sqd_undefined_reason,
             "eta": self.eta,
-            "accessible_information": None if self.acc is None else self.acc.to_dict(),
+            "accessible_information": None if self.sqd.acc is None else self.sqd.acc.to_dict(),
             "tolerances": {
                 "offdiag": TOL_OFFDIAG,
                 "overlap": TOL_OVERLAP,
@@ -617,4 +615,4 @@ def analyze(rho: DensityMatrix, system: str,
         m_sqd, reason = None, str(exc)
     eta = _distance_bound(ens)
     return ObjectivityReport(system, ens.fragment, sqd, sbs, independence,
-                             m_sqd, reason, eta, sqd.acc, opt, seed)
+                             m_sqd, reason, eta, opt, seed)

@@ -1,25 +1,27 @@
 """Riemannian steepest ascent over measurement bases (columns = kets) on U(d).
 
-All R restarts advance together as one (R, d, d) stack, with one objective
-call (values and gradients G = dF/d(conj U)) per iteration.  A step follows
-A = G U^dagger - U G^dagger, whose squared norm is the slope of F along
+All R restarts advance together as one (R, d, d) stack: one objective call (values
+and gradients G = dF/d(conj U)) scores the starts, then one per iteration.  A step
+follows A = G U^dagger - U G^dagger, whose squared norm is the slope of F along
 exp(tA) U, through the Cayley retraction (1 - tA/2)^-1 (1 + tA/2) U (Abrudan,
-Eriksson & Koivunen, IEEE TSP 56, 1134 (2008)).  Each restart alternates the
-two Barzilai-Borwein steps, halving one until F beats the lowest of the
-restart's last ``MEMORY`` values by the Armijo margin (a nonmonotone rule),
-and stops at |A| < ``GRAD_FLOOR``, at a step too small to change F, or after
-``max_refine_iter`` iterations.  Qubits start from the best points of a
-Bloch-angle grid, larger dimensions from the identity and seeded Haar unitaries.
+Eriksson & Koivunen, IEEE TSP 56, 1134 (2008)).  Each restart alternates the two
+Barzilai-Borwein steps, halving one until F beats the lowest of the restart's last
+``MEMORY`` values by the Armijo margin (a nonmonotone rule), and stops at
+|A| < ``GRAD_FLOOR``, at a step too small to change F, or after ``max_refine_iter``
+iterations.  Qubits start from the best points of a Bloch-angle grid, built once per
+process and size, with the values and gradients its one call gave them; larger
+dimensions from the identity and seeded Haar unitaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .core import EPS_OPT, GRAD_FLOOR
+from .core import EPS_OPT, GRAD_FLOOR, _freeze
 from .errors import OptimizerDidNotConverge
 
 ARMIJO = 1e-4   # share of the first-order gain a step must realize
@@ -72,18 +74,26 @@ def _finish(candidates: list[tuple[float, np.ndarray]], config: OptimizerConfig,
                               len(candidates), gap, iterations, capped)
 
 
-def _starts(objective, dim: int, config: OptimizerConfig) -> np.ndarray:
+@lru_cache(maxsize=4)  # a process sweeping --grid keeps its last few grids only
+def _bloch_grid(theta_points: int, phi_points: int) -> np.ndarray:
+    thetas = np.linspace(0.0, np.pi, theta_points)
+    phis = np.linspace(0.0, 2.0 * np.pi, phi_points, endpoint=False)
+    return _freeze(qubit_basis(*(a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))))
+
+
+def _starts(objective, dim: int, config: OptimizerConfig) -> tuple[np.ndarray, ...]:
+    """The ascent's starting bases, with the values and gradients the objective gave them."""
     if dim == 2:
-        thetas = np.linspace(0.0, np.pi, config.theta_points)
-        phis = np.linspace(0.0, 2.0 * np.pi, config.phi_points, endpoint=False)
-        grid = qubit_basis(*(a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij")))
-        best = np.argsort(-objective(grid)[0], kind="stable")
-        return grid[best[:max(1, config.refine_starts)]]
+        grid = _bloch_grid(config.theta_points, config.phi_points)
+        values, grads = objective(grid)
+        best = np.argsort(-values, kind="stable")[:max(1, config.refine_starts)]
+        return grid[best], values[best], grads[best]
     rng = np.random.default_rng(config.seed)
     shape = (max(0, config.restarts - 1), dim, dim)
     q, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     phases = np.diagonal(r, axis1=1, axis2=2)
-    return np.concatenate([np.eye(dim)[None], q * (phases / np.abs(phases))[:, None, :]])
+    bases = np.concatenate([np.eye(dim)[None], q * (phases / np.abs(phases))[:, None, :]])
+    return bases, *objective(bases)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # Re tr(a^dagger b), pairwise
@@ -95,9 +105,8 @@ def _direction(grads: np.ndarray, bases: np.ndarray) -> np.ndarray:  # G U^dagge
     return x - x.conj().transpose(0, 2, 1)
 
 
-def _ascend(objective, bases: np.ndarray, max_iter: int
-            ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    values, grads = objective(bases)
+def _ascend(objective, bases: np.ndarray, values: np.ndarray, grads: np.ndarray,
+            max_iter: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     a = _direction(grads, bases)
     slope, step, eye = _inner(a, a), np.ones(len(bases)), np.eye(bases.shape[1])
     recent = np.tile(values, (MEMORY, 1))
@@ -136,6 +145,6 @@ def maximize_over_bases(objective: Callable[[np.ndarray], tuple[np.ndarray, np.n
     config; raises :class:`OptimizerDidNotConverge` when the two best restarts
     differ by more than ``config.eps_opt`` and strict convergence is enabled.
     """
-    values, bases, iterations, capped = _ascend(objective, _starts(objective, dim, config),
+    values, bases, iterations, capped = _ascend(objective, *_starts(objective, dim, config),
                                                 config.max_refine_iter)
     return _finish(list(zip(values.tolist(), bases)), config, iterations, capped)

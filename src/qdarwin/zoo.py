@@ -130,21 +130,12 @@ def make_random_broadcast_state(seed: int, n_branches: int, n_subenvs: int,
     rng = np.random.default_rng(seed)
     dims = [int(rng.integers(n_branches, max_dim + 1)) for _ in range(n_subenvs)]
     probs = _simplex_sample(rng, n_branches)
-    supports = []
-    spectra = []
-    for i in range(n_branches):
-        sup_row = []
-        spec_row = []
-        for k, dim in enumerate(dims):
-            base = dim // n_branches
-            extra = dim % n_branches
-            start = i * base + min(i, extra)
-            size = base + (1 if i < extra else 0)
-            sup = tuple(range(start, start + size))
-            sup_row.append(sup)
-            spec_row.append(tuple(_simplex_sample(rng, len(sup))))
-        supports.append(tuple(sup_row))
-        spectra.append(tuple(spec_row))
+    # branch i holds indices [cuts[i], cuts[i + 1]) of each subenvironment, the
+    # first dim % n_branches branches one index more than the others
+    cuts = [[i * (dim // n_branches) + min(i, dim % n_branches) for i in range(n_branches + 1)]
+            for dim in dims]
+    supports = [tuple(tuple(range(c[i], c[i + 1])) for c in cuts) for i in range(n_branches)]
+    spectra = [tuple(tuple(_simplex_sample(rng, len(sup))) for sup in row) for row in supports]
     spec = SbsSpec(tuple(float(p) for p in probs), tuple(dims),
                    tuple(supports), tuple(spectra))
     # rotate each conditional inside its support subspace
@@ -307,8 +298,7 @@ def perturb_state(rho: DensityMatrix, strength: float, seed: int) -> DensityMatr
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = h + h.conj().T
     h *= strength / np.linalg.norm(h)
-    noisy = rho.matrix + h
-    w, v = np.linalg.eigh(noisy)
+    w, v = np.linalg.eigh(rho.matrix + h)
     keep = w > d * RANK_EPS * w[-1]
     return validate_factor(v[:, keep] * np.sqrt(w[keep] / w[keep].sum()), rho.layout)
 
@@ -355,14 +345,11 @@ def make_theorem_case(seed: int, index: int, dims_cap: int = 32,
     env_options = [env for env in ([2], [2, 2], [2, 2, 2], [2, 2, 2, 2], [4, 2], [4])
                    if 2 * math.prod(env) <= dims_cap]
     env = list(env_options[int(rng.integers(0, len(env_options)))])
-    layout = std_layout(2, env)
-    psi = make_haar_pure(sub_seed, layout)
-    return family, psi.to_density()
+    return family, make_haar_pure(sub_seed, std_layout(2, env)).to_density()
 
 
 def theorem_suite(seed: int, n_cases: int, dims_cap: int = 32,
                   perturbation: float = 1e-2) -> Iterator[tuple[int, str, DensityMatrix]]:
     """Yield (index, family, state) for the randomized equivalence batch."""
     for index in range(n_cases):
-        family, rho = make_theorem_case(seed, index, dims_cap, perturbation)
-        yield index, family, rho
+        yield index, *make_theorem_case(seed, index, dims_cap, perturbation)

@@ -1,7 +1,10 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +312,33 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert run(["analyze", str(bad)]) == 2
+
+
+class TestOneParserPerProcess:
+    """``main`` parses every call with one parser per process: no option of one call
+    reaches the next, whose report equals the one a fresh process writes."""
+
+    @pytest.mark.parametrize("first,second", [
+        (["--subfragment", "E1"], []),
+        (["--grid", "8x4"], []),
+        (["--format", "csv"], ["--format", "json"]),
+    ], ids=["subfragment", "grid", "format"])
+    def test_options_do_not_leak_between_calls(self, tmp_path, first, second):
+        st = tmp_path / "st.json"
+        qd.save_state(qd.make_random_density(7, qd.std_layout(2, [2])), str(st))
+        after, alone = tmp_path / "after.txt", tmp_path / "alone.txt"
+        assert run(["analyze", str(st), *first, "-o", str(tmp_path / "first.txt")]) == 0
+        assert run(["analyze", str(st), *second, "-o", str(after)]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(qd.__file__).parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "qdarwin.cli", "analyze", str(st),
+                               *second, "-o", str(alone)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert after.read_text() == alone.read_text()
+        assert (tmp_path / "first.txt").read_text() != after.read_text()
 
 
 class TestFileForms:

@@ -226,6 +226,22 @@ class TestEquivalence:
         rho = qd.validate_density_matrix(np.outer(psi, psi.conj()), layout)
         assert qd.objectivity_deficit(rho, "A") == pytest.approx(0.5, abs=1e-9)
 
+    def test_whole_ghz_fragment_in_bounded_memory(self):
+        """The R = 1 bracket of GHZ N = 8 reads its 256-dimensional fragment through
+        the accessible-information kernel in row chunks: with the whole d^3 projector
+        array at once, the peak was 265 MiB."""
+        rho = qd.make_ghz_reduced(8)
+        tracemalloc.start()
+        try:
+            witness = qd.verify_equivalence(rho, "S")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness.consistent and witness.sbs.holds and witness.sqd.holds
+        assert witness.sqd.acc.exact
+        assert witness.sqd.acc.lower == pytest.approx(1.0, abs=1e-12)
+        assert peak < 64 * 2 ** 20
+
     def test_product_stage_is_strong_independence(self):
         checked = 0
         for _, family, rho in theorem_suite(seed=1, n_cases=40):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from qdarwin import errors
 from qdarwin.measures import _classical_mi
 from qdarwin.optimize import (
     OptimizerConfig,
+    _bloch_grid,
     _direction,
     _finish,
     _inner,
+    _starts,
     maximize_over_bases,
     qubit_basis,
 )
@@ -158,6 +162,66 @@ class TestClassicalInformationKernel:
         assert_kernel_matches_loop_oracle(probs, conds, bases)
         values, _ = _classical_mi(probs, conds, bases)
         assert values[0] == pytest.approx(qd.entropy_bits(probs), abs=1e-12)
+
+
+class TestChunkedKernel:
+    """With ``MI_CHUNK_BYTES`` small enough to split both products in several row
+    chunks, the kernel still matches the loop oracle."""
+
+    @pytest.mark.parametrize("dims,budget", [((3, 2), 1), ((2, 3), 720), ((2, 4), 5000)],
+                             ids=["qubit-one-row", "qutrit-five-rows", "ququart-19-rows"])
+    def test_small_budget_matches_loop_oracle(self, monkeypatch, dims, budget):
+        monkeypatch.setattr(qd.measures, "MI_CHUNK_BYTES", budget)
+        _, probs, conds = ensemble(17, dims)
+        dim = conds.shape[1]
+        if dim == 2:
+            bases = _bloch_grid(64, 32)[::16]
+        else:
+            rng = np.random.default_rng(dim)
+            bases = np.stack([haar_random_unitary(rng, dim) for _ in range(12)])
+        assert max(1, budget // (16 * dim * dim)) < len(bases) * dim
+        assert_kernel_matches_loop_oracle(probs, conds, bases)
+        values, _ = _classical_mi(probs, conds, bases)
+        for basis, value in zip(bases, values):
+            assert qd.measures.classical_mutual_information(probs, conds, basis) == value
+
+
+class TestStarts:
+    def test_cached_grid_is_read_only_and_exact(self):
+        config = OptimizerConfig()
+        grid = _bloch_grid(config.theta_points, config.phi_points)
+        thetas = np.linspace(0.0, np.pi, config.theta_points)
+        phis = np.linspace(0.0, 2.0 * np.pi, config.phi_points, endpoint=False)
+        built = qubit_basis(*(a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij")))
+        assert grid.shape == built.shape == (2048, 2, 2)
+        assert grid.tobytes() == built.tobytes()
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0, 0] = 0.0
+        assert _bloch_grid(config.theta_points, config.phi_points) is grid
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (2, 4)])
+    def test_starts_carry_their_objective_values(self, dims):
+        _, probs, conds = ensemble(23, dims)
+        objective = partial(_classical_mi, probs, conds)
+        bases, values, grads = _starts(objective, conds.shape[1], OptimizerConfig())
+        want_values, want_grads = objective(bases)
+        assert np.allclose(values, want_values, rtol=0.0, atol=1e-13)
+        assert np.allclose(grads, want_grads, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (2, 4)])
+    def test_one_objective_call_per_iteration_and_one_for_the_starts(self, dims):
+        _, probs, conds = ensemble(29, dims)
+        calls = []
+
+        def objective(bases):
+            calls.append(len(bases))
+            return _classical_mi(probs, conds, bases)
+
+        res = maximize_over_bases(objective, conds.shape[1])
+        assert res.iterations >= 1
+        assert len(calls) == 1 + res.iterations
+        assert calls[0] == (2048 if conds.shape[1] == 2 else 20)
 
 
 class TestAscentOracles:

@@ -18,7 +18,8 @@ One rule chooses the basis: the canonical eigenbasis of rho_S, any degenerate
 cluster refined against fragment probes of the same factor.  Inside a cluster
 every basis gives the same H(S^Pi), so every measure and verdict reads the one
 observable the fragment records.  Measurement optimization happens on the
-fragment side, in the accessible-information lower bound (:func:`_classical_mi`).
+fragment side, in the accessible-information lower bound (:func:`_classical_mi`,
+which reads a stack of bases from one product V = rho U per block of bases).
 """
 
 from __future__ import annotations
@@ -423,40 +424,47 @@ def classical_mutual_information(probs: np.ndarray, conds: Sequence[np.ndarray],
     return float(_classical_mi(probs, conds, basis[None], gradient=False)[0][0])
 
 
-# Bytes of a row chunk of either (rows x d^2) product of :func:`_classical_mi`: the default
-# Bloch grid (4,096 rows at d = 2) is one chunk; one basis at d = 1024 asked for 16 GiB.
-MI_CHUNK_BYTES = 256 * 1024
+# Bytes of the product V = rho U of one block of bases in :func:`_classical_mi`, the
+# largest of the block's temporaries; one basis is always a block.
+MI_BLOCK_BYTES = 64 * 1024
 
 
 def _classical_mi(probs: np.ndarray, cond_stack: np.ndarray, bases: np.ndarray,
                   gradient: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Classical mutual information, in bits, of each basis of a (R, d, d) stack, and its
-    gradient dI/d(conj U) unless ``gradient`` is off, from two matrix products with C, the
-    n conditionals flattened to rows, each fed in row chunks of ``MI_CHUNK_BYTES``.
-    J_an = p_n <u_a|rho_n|u_a> is p_n times the real part of the flattened projectors
-    |u_a><u_a| (R d rows) times C^dagger; I sums J_an log2(J_an / P_n Q_a) over
-    J_an > 1e-15, the log being 0 elsewhere.  Column a of the gradient, up to a term U(d)
-    projects out, is sum_n p_n log2(J_an / P_n Q_a) rho_n u_a: those weights times C."""
+    gradient dI/d(conj U) unless ``gradient`` is off, the same to the bit in any stack.  In
+    blocks of ``MI_BLOCK_BYTES``, one product V_n = rho_n U, its kets ordered (outcome a,
+    basis r) along the last axis, gives J_an = p_n Re <u_a|V_n e_a>; I sums J_an log2(J_an /
+    P_n Q_a) over J_an > 1e-15, the log being 0 elsewhere, and column a of the gradient, up
+    to a term U(d) projects out, is sum_n p_n log2(J_an / P_n Q_a) V_n e_a."""
     r, d = bases.shape[:2]
-    c = np.asarray(cond_stack, dtype=complex).reshape(-1, d * d)
-    c_dagger, kets = c.conj().T, bases.transpose(0, 2, 1).reshape(r * d, d)  # u_a as rows
-    step = max(1, MI_CHUNK_BYTES // (16 * d * d))
-    chunks = [slice(i, i + step) for i in range(0, r * d, step)]
-    born = np.concatenate([(np.multiply(kets[k, :, None], kets[k, None, :].conj(), order="C")
-                            .reshape(-1, d * d) @ c_dagger).real for k in chunks])
-    joint = probs * np.clip(born, 0.0, None).reshape(r, d, -1)
-    marginals = np.einsum("ran->ra", joint)[:, :, None] * np.einsum("ran->rn", joint)[:, None, :]
+    rows = np.asarray(cond_stack, dtype=complex).reshape(-1, d)     # [(n, k), j]
+    step = max(1, MI_BLOCK_BYTES // (16 * rows.size))
+    values, grads = np.empty(r), (np.empty((r, d, d), dtype=complex) if gradient else None)
+    for lo in range(0, r, step):
+        _mi_block(probs, rows, bases[lo:lo + step], values[lo:lo + step],
+                  None if grads is None else grads[lo:lo + step])
+    return values, grads
+
+
+def _mi_block(probs: np.ndarray, rows: np.ndarray, bases: np.ndarray, values: np.ndarray,
+              grads: np.ndarray | None) -> None:
+    """:func:`_classical_mi` on one block of m bases, written to ``values`` and ``grads``."""
+    n, m, d = len(probs), len(bases), bases.shape[1]
+    kets = bases.transpose(1, 2, 0).reshape(d, d * m)                 # [j, (a, r)]
+    # the bases on the product's rows: each basis's entries are the same in any block
+    v = np.ascontiguousarray((kets.T @ rows.T).T).reshape(n, d, d * m)  # [n, k, (a, r)]
+    born = np.einsum("nkx,kx->nx", v, kets.conj()).real                # [n, (a, r)]
+    if m == 1:  # two copies, or each sum over (n, a) below is a contiguous, pairwise one
+        born = np.repeat(born, 2, axis=1)
+    joint = (probs[:, None] * np.maximum(born, 0.0)).reshape(n, d, -1)
+    marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
     log_ratio = np.log2(np.divide(joint, marginals, out=np.ones_like(joint), where=joint > 1e-15))
-    values = np.einsum("ran,ran->r", joint, log_ratio)
-    if not gradient:
-        return values, None
-    weights = (probs * log_ratio).reshape(r * d, -1).astype(complex)
-    grads = np.empty((r * d, d), dtype=complex)                         # [(r, a), j]
-    for k in chunks:
-        weighted = (weights[k] @ c).reshape(-1, d, d)
-        weighted *= kets[k, None, :]                                    # [(r, a), j, k] u_a[k]
-        np.einsum("ajk->aj", weighted, out=grads[k])
-    return values, grads.reshape(r, d, d).transpose(0, 2, 1)
+    values[:] = (joint * log_ratio).reshape(n * d, -1).sum(axis=0)[:m]
+    if grads is not None:  # sum_n w_an V_n e_a, on the (Re, Im) pairs of V as reals
+        weights = np.repeat((probs[:, None, None] * log_ratio)[..., :m].reshape(n, -1), 2, 1)
+        grads[:] = (np.einsum("ny,nky->ky", weights, v.view(float)).view(complex)
+                    .reshape(d, d, m).transpose(2, 0, 1))
 
 
 def common_eigenbasis(stacks: Iterable[np.ndarray]) -> np.ndarray:

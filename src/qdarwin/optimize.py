@@ -1,16 +1,16 @@
 """Riemannian steepest ascent over measurement bases (columns = kets) on U(d).
 
-All R restarts advance together as one (R, d, d) stack: one objective call (values
-and gradients G = dF/d(conj U)) scores the starts, then one per iteration.  A step
-follows A = G U^dagger - U G^dagger, whose squared norm is the slope of F along
-exp(tA) U, through the Cayley retraction (1 - tA/2)^-1 (1 + tA/2) U (Abrudan,
-Eriksson & Koivunen, IEEE TSP 56, 1134 (2008)).  Each restart alternates the two
-Barzilai-Borwein steps, halving one until F beats the lowest of the restart's last
-``MEMORY`` values by the Armijo margin (a nonmonotone rule), and stops at
-|A| < ``GRAD_FLOOR``, at a step too small to change F, or after ``max_refine_iter``
-iterations.  Qubits start from the best points of a Bloch-angle grid, built once per
-process and size, with the values and gradients its one call gave them; larger
-dimensions from the identity and seeded Haar unitaries.
+All R restarts advance together as one (R, d, d) stack, gathered only once a restart
+has stopped or a step was refused: one objective call (values and gradients
+G = dF/d(conj U)) scores the starts, then one per iteration.  A step follows
+A = G U^dagger - U G^dagger, whose squared norm is the slope of F along exp(tA) U,
+through the Cayley retraction (1 - tA/2)^-1 (1 + tA/2) U (Abrudan, Eriksson & Koivunen,
+IEEE TSP 56, 1134 (2008)).  Each restart alternates the two Barzilai-Borwein steps,
+halving one until F beats the lowest of the restart's last ``MEMORY`` values by the
+Armijo margin (a nonmonotone rule), and stops at |A| < ``GRAD_FLOOR``, at a step too
+small to change F, or after ``max_refine_iter`` iterations.  Qubits start from the best
+points of a Bloch-angle grid, built once per process and size, with the values and
+gradients of its one call; larger dimensions from the identity and seeded Haar unitaries.
 """
 
 from __future__ import annotations
@@ -86,7 +86,9 @@ def _starts(objective, dim: int, config: OptimizerConfig) -> tuple[np.ndarray, .
     if dim == 2:
         grid = _bloch_grid(config.theta_points, config.phi_points)
         values, grads = objective(grid)
-        best = np.argsort(-values, kind="stable")[:max(1, config.refine_starts)]
+        keys, k = -values, min(max(1, config.refine_starts), len(grid))
+        near = np.flatnonzero(~(keys > np.partition(keys, k - 1)[k - 1]))  # with all ties
+        best = near[np.argsort(keys[near], kind="stable")[:k]]
         return grid[best], values[best], grads[best]
     rng = np.random.default_rng(config.seed)
     shape = (max(0, config.restarts - 1), dim, dim)
@@ -117,20 +119,21 @@ def _ascend(objective, bases: np.ndarray, values: np.ndarray, grads: np.ndarray,
             capped = int(live.sum()) if iterations == max_iter else 0
             break
         idx = np.flatnonzero(live)
-        half = 0.5 * step[idx, None, None] * a[idx]
-        trial = np.linalg.solve(eye - half, (eye + half) @ bases[idx])
+        part = slice(None) if len(idx) == len(live) else idx
+        half = 0.5 * step[part, None, None] * a[part]
+        trial = np.linalg.solve(eye - half, (eye + half) @ bases[part])
         trial_values, trial_grads = objective(trial)
-        ok = trial_values >= recent[:, idx].min(axis=0) + ARMIJO * step[idx] * slope[idx]
+        ok = trial_values >= recent[:, part].min(axis=0) + ARMIJO * step[part] * slope[part]
         step[idx[~ok]] *= 0.5
-        moved = idx[ok]
-        a_new = _direction(trial_grads[ok], trial[ok])
+        took, moved = (slice(None), part) if ok.all() else (ok, idx[ok])
+        a_new = _direction(trial_grads[took], trial[took])
         s, y = step[moved, None, None] * a[moved], a_new - a[moved]
         curve = -_inner(s, y)
         # Barzilai-Borwein steps, <s, s> / <s, -y> and <s, -y> / <y, y> in turn;
         # doubled where F did not curve down
         num, den = (_inner(s, s), curve) if iterations % 2 == 0 else (curve, _inner(y, y))
         step[moved] = np.where(curve > 0, num / np.where(curve > 0, den, 1.0), 2 * step[moved])
-        bases[moved], values[moved], a[moved] = trial[ok], trial_values[ok], a_new
+        bases[moved], values[moved], a[moved] = trial[took], trial_values[took], a_new
         slope[moved] = _inner(a_new, a_new)
         recent[iterations % MEMORY] = values
     return values, bases, iterations, capped

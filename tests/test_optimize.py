@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -115,11 +116,18 @@ class TestClassicalInformationGradient:
             assert slope == pytest.approx(_inner(a, h[None])[0], abs=1e-8)
 
     def test_single_basis_value_matches_batch_row(self):
-        _, probs, conds = ensemble(3, (2, 3))
-        bases = np.stack([haar_random_unitary(np.random.default_rng(s), 3) for s in range(4)])
-        values, _ = _classical_mi(probs, conds, bases)
-        for basis, value in zip(bases, values):
-            assert qd.measures.classical_mutual_information(probs, list(conds), basis) == value
+        # with the basis axis last, a lone basis is summed contiguously (pairwise once
+        # n d >= 8) unless the kernel keeps it in a stack; d = 2 rows come from the grid
+        grid = _bloch_grid(64, 32)[::61]
+        for dims in [(2, 3), (2, 2), (2, 4), (2, 8), (4, 2)]:
+            _, probs, conds = ensemble(3, dims)
+            dim = conds.shape[1]
+            bases = grid if dim == 2 else np.stack(
+                [haar_random_unitary(np.random.default_rng(s), dim) for s in range(4)])
+            values, _ = _classical_mi(probs, conds, bases)
+            for basis, value in zip(bases, values):
+                assert qd.measures.classical_mutual_information(probs, list(conds),
+                                                                basis) == value
 
 
 def assert_kernel_matches_loop_oracle(probs, conds, bases):
@@ -164,26 +172,44 @@ class TestClassicalInformationKernel:
         assert values[0] == pytest.approx(qd.entropy_bits(probs), abs=1e-12)
 
 
-class TestChunkedKernel:
-    """With ``MI_CHUNK_BYTES`` small enough to split both products in several row
-    chunks, the kernel still matches the loop oracle."""
+class TestKernelBlocks:
+    """With ``MI_BLOCK_BYTES`` small enough to split a stack in several blocks, the last
+    one a single basis, the kernel still matches the loop oracle, and each basis's value
+    and gradient are those of its single-basis call, to the bit."""
 
-    @pytest.mark.parametrize("dims,budget", [((3, 2), 1), ((2, 3), 720), ((2, 4), 5000)],
-                             ids=["qubit-one-row", "qutrit-five-rows", "ququart-19-rows"])
-    def test_small_budget_matches_loop_oracle(self, monkeypatch, dims, budget):
-        monkeypatch.setattr(qd.measures, "MI_CHUNK_BYTES", budget)
+    @pytest.mark.parametrize("dims,count,per_block", [((3, 2), 2048, 89), ((2, 3), 12, 1),
+                                                      ((2, 4), 12, 11)],
+                             ids=["qubit-grid-24-blocks", "qutrit-12-blocks", "ququart-2-blocks"])
+    def test_small_budget_matches_loop_oracle(self, monkeypatch, dims, count, per_block):
         _, probs, conds = ensemble(17, dims)
         dim = conds.shape[1]
+        monkeypatch.setattr(qd.measures, "MI_BLOCK_BYTES", per_block * 16 * conds.size)
         if dim == 2:
-            bases = _bloch_grid(64, 32)[::16]
+            bases = _bloch_grid(64, 32)
         else:
             rng = np.random.default_rng(dim)
             bases = np.stack([haar_random_unitary(rng, dim) for _ in range(12)])
-        assert max(1, budget // (16 * dim * dim)) < len(bases) * dim
+        assert len(bases) == count > per_block and (count - 1) % per_block == 0
         assert_kernel_matches_loop_oracle(probs, conds, bases)
-        values, _ = _classical_mi(probs, conds, bases)
-        for basis, value in zip(bases, values):
-            assert qd.measures.classical_mutual_information(probs, conds, basis) == value
+        values, grads = _classical_mi(probs, conds, bases)
+        for basis, value, grad in zip(bases, values, grads):
+            one_value, one_grad = _classical_mi(probs, conds, basis[None])
+            assert one_value[0] == value and np.array_equal(one_grad[0], grad)
+
+    @pytest.mark.parametrize("system_dim", [2, 3, 4])
+    def test_grid_call_stays_small(self, system_dim):
+        """One objective call on the default qubit grid, its outputs (128 KiB of
+        gradients) included; whole-stack products peaked at 1.0-1.4 MiB."""
+        _, probs, conds = ensemble(19, (system_dim, 2))
+        assert len(probs) == system_dim
+        grid = _bloch_grid(64, 32)
+        tracemalloc.start()
+        try:
+            _classical_mi(probs, conds, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestStarts:

@@ -11,7 +11,7 @@ Haar-random pure states.  Writes one tidy CSV suitable for plotting.
 """
 
 import argparse
-import itertools
+import math
 import sys
 
 import numpy as np
@@ -20,21 +20,12 @@ import qdarwin as qd
 
 
 def scan_state(rho, system="S"):
-    """Mean chi, discord, and mutual information per fragment fraction, every
-    fragment read at one pointer basis."""
-    subenvs = [l for l in rho.layout.labels if l != system]
-    basis = qd.pointer_basis(rho, system)
-    rows = []
-    for size in range(1, len(subenvs) + 1):
-        chis, discords, mis = [], [], []
-        for frag in itertools.combinations(subenvs, size):
-            ens = qd.pointer_ensemble(rho, system, frag, basis)
-            chis.append(ens.holevo)
-            discords.append(ens.discord)
-            mis.append(ens.mutual_information)
-        rows.append((size / len(subenvs), np.mean(chis), np.mean(discords),
-                     np.mean(mis)))
-    return rows
+    """Mean chi, discord, and mutual information per fragment fraction: the
+    curve of a redundancy scan, every fragment read at one pointer basis."""
+    n = len(rho.layout.labels) - 1
+    curve = qd.redundancy(rho, system, 0.5, scan_samples=math.comb(n, n // 2)).scan_curve
+    return [(pt.fraction, pt.mean_holevo, pt.mean_discord, pt.mean_mutual_info)
+            for pt in curve]
 
 
 def main(argv=None):

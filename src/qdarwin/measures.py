@@ -25,7 +25,7 @@ which reads a stack of bases from one product V = rho U per block of bases).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -269,6 +269,11 @@ class PointerEnsemble:
         """Smallest gap between eigenvalues of rho_S (inf for a single one)."""
         w = self.eigenvalues
         return float(np.min(w[:-1] - w[1:])) if w.size > 1 else float("inf")
+
+    def complement(self, fragment: tuple[str, ...]) -> PointerEnsemble:
+        """The ensemble of ``fragment``, the rest of a pure state's environment: its
+        branches' conditionals share this one's spectra, and H(F), H(SF) swap."""
+        return replace(self, fragment=fragment, h_f=self.h_sf, h_sf=self.h_f)
 
     def live(self) -> tuple[np.ndarray, list[DensityMatrix]]:
         """Probabilities and conditional states of the branches that occur."""

@@ -476,13 +476,18 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
                strategy: str | None = None,
                scan_samples: int = 50,
                seed: int = 0) -> RedundancyReport:
-    """Count disjoint qualifying fragments and scan mean information per fraction.
+    r"""Count disjoint qualifying fragments and scan mean information per fraction.
 
     A fragment qualifies when chi >= (1 - delta) H(S^Pi) - eps_opt, fragments
     being unions of whole subenvironments.  ``exhaustive`` (default up to 12
     subenvironments) packs minimal qualifying fragments exactly; ``greedy``
     repeatedly takes the smallest qualifying fragment from the remaining
     subenvironments, breaking ties by label order.
+
+    On a pure state (a one-column factor) the kernel reads one fragment of each
+    pair (F, E\F) and the other is its complement: H(E\F) = H(SF), H(S, E\F) = H(F),
+    and each branch's conditionals on F and on E\F share one spectrum, so
+    I(S:F) + I(S:E\F) = 2 H(S) and both carry the same sum_i p_i H(rho_.|i).
     """
     if not (0.0 < delta < 1.0):
         raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
@@ -495,9 +500,11 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     # one pointer basis, refined against every other factor, serves every
-    # fragment, and any fragment gives its distribution
+    # fragment; the whole environment's ensemble gives its distribution
     basis = pointer_basis(rho, system)
-    h_pointer = entropy_bits(pointer_ensemble(rho, system, subenvs[:1], basis).probabilities)
+    cache = {tuple(subenvs): pointer_ensembles(rho, system, [subenvs], basis)[0]}
+    h_pointer = entropy_bits(cache[tuple(subenvs)].probabilities)
+    pure = rho.factor.shape[1] == 1
     threshold = (1.0 - delta) * h_pointer - opt.eps_opt
 
     # the curve's fragments of each size: all of them, or scan_samples seeded draws
@@ -513,13 +520,16 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
             chosen.add(tuple(subenvs[i] for i in pick))
         samples.append(sorted(chosen))
 
-    cache: dict[tuple[str, ...], tuple[float, float, float]] = {}
-
     def qualifying(frags: list[tuple[str, ...]]) -> list[bool]:
-        new = [f for f in dict.fromkeys(frags) if f not in cache]
+        # on a pure state the kernel reads one of each pair (F, E\F): the lesser if both
+        rest = {f: tuple(l for l in subenvs if l not in f) if pure else ()
+                for f in frags if f not in cache}
+        new = [f for f in rest if rest[f] not in rest or f < rest[f]]
         for frag, ens in zip(new, pointer_ensembles(rho, system, new, basis) if new else ()):
-            cache[frag] = (ens.holevo, ens.mutual_information, ens.discord)
-        return [cache[frag][0] >= threshold for frag in frags]
+            cache[frag] = ens
+            if rest[frag]:
+                cache[rest[frag]] = ens.complement(rest[frag])
+        return [cache[frag].holevo >= threshold for frag in frags]
 
     # chi only grows with the fragment at a fixed basis (data processing), so
     # nothing qualifies unless the union of the subenvironments left does.  Size
@@ -540,7 +550,7 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
                 found.append(frag)
                 if strategy == "greedy":
                     remaining = [l for l in remaining if l not in frag]
-        values = [cache[frag] for frag in sample]
+        values = [(e.holevo, e.mutual_information, e.discord) for e in map(cache.get, sample)]
         for frag, (chi, mi, d) in zip(sample, values):
             if chi >= (1.0 - delta) * h_pointer:
                 if mi <= h_pointer + opt.eps_opt:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qdarwin import make_random_density, std_layout
+from qdarwin import make_random_density, std_layout, validate_factor
 
 
 RANDOM_LAYOUTS = (
@@ -33,3 +33,15 @@ def matrix_payload(rho):
     encoded element by element."""
     return {"layout": rho.layout.to_dict(),
             "matrix": [[[z.real, z.imag] for z in row] for row in rho.matrix]}
+
+
+def pure_ghz(system_dim: int, env_dims):
+    """sum_k |k ... k> / sqrt(m) on S x ``env_dims``, m the smallest dimension, as a
+    one-column factor: a rank-1 state whose rho_S is degenerate."""
+    layout = std_layout(system_dim, env_dims)
+    dims = (system_dim, *env_dims)
+    m = min(dims)
+    factor = np.zeros((layout.total_dim, 1), dtype=complex)
+    for k in range(m):
+        factor[np.ravel_multi_index([k] * len(dims), dims), 0] = 1.0 / np.sqrt(m)
+    return validate_factor(factor, layout)

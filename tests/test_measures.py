@@ -11,7 +11,7 @@ from qdarwin.measures import (_probe_stacks, classical_mutual_information,
 from qdarwin.zoo import haar_random_unitary, horodecki_holevo_closed_form
 
 import oracles
-from conftest import random_state
+from conftest import pure_ghz, random_state
 
 
 def bell_state():
@@ -256,6 +256,34 @@ class TestDiscord:
         chi = qd.holevo_quantity(rho, "S", frag).value
         d = qd.discord(rho, "S", frag).value
         assert mi == pytest.approx(chi + d, abs=1e-6)
+
+
+COMPLEMENT_FIELDS = ("probabilities", "h_f", "h_sf", "h_f_given_s", "holevo",
+                     "mutual_information", "discord")
+
+
+class TestComplement:
+    @given(system_dim=st.sampled_from([2, 3]),
+           env_dims=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5),
+           seed=st.integers(0, 10_000), ghz=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_kernel_on_the_rest_of_a_pure_environment(
+            self, system_dim, env_dims, seed, ghz, data):
+        """On a rank-1 state the ensemble of E minus F, read from F's by swapping H(F)
+        and H(SF), is the one the kernel builds for it, degenerate rho_S included."""
+        rho = (pure_ghz(system_dim, env_dims) if ghz else
+               qd.make_random_density(seed, qd.std_layout(system_dim, env_dims), rank=1))
+        env = rho.layout.environment_labels
+        chosen = data.draw(st.sets(st.sampled_from(env), min_size=1, max_size=len(env) - 1))
+        frag = tuple(l for l in env if l in chosen)
+        rest = tuple(l for l in env if l not in chosen)
+        basis = qd.pointer_basis(rho, "S")
+        got = qd.pointer_ensemble(rho, "S", frag, basis).complement(rest)
+        want = qd.pointer_ensemble(rho, "S", rest, basis)
+        assert got.fragment == want.fragment == rest
+        for field in COMPLEMENT_FIELDS:
+            diff = np.subtract(getattr(got, field), getattr(want, field))
+            assert np.max(np.abs(diff)) <= 1e-12, field
 
 
 class TestAccessibleInformation:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from qdarwin import errors, objectivity
 from qdarwin.zoo import horodecki_holevo_closed_form, theorem_suite
 
 import oracles
-from conftest import random_state
+from conftest import pure_ghz, random_state
 
 
 def bell_state():
@@ -412,8 +413,8 @@ class TestRedundancy:
             self, monkeypatch, strategy):
         """chi only grows with the fragment, so on S x E with twelve
         subenvironments the search reads the whole environment and stops: the
-        kernel sees at most that, the fragment giving H(S^Pi) and the curve's one
-        sample per size, where a search by size would read all 4095 fragments."""
+        kernel sees at most that fragment, which also gives H(S^Pi), and the
+        curve's one sample per size, where a search by size would read all 4095."""
         s = qd.make_random_density(1, qd.SubsystemLayout.of(("S", 2), system="S"))
         env = qd.make_random_density(
             2, qd.SubsystemLayout.of(*((f"E{k}", 2) for k in range(1, 13)), system=None),
@@ -429,7 +430,73 @@ class TestRedundancy:
         monkeypatch.setattr(objectivity, "pointer_ensembles", spy)
         rep = qd.redundancy(rho, "S", 0.1, strategy=strategy, scan_samples=1)
         assert rep.r_delta == 0 and rep.witness_fragments == ()
-        assert len(seen) <= 2 + 12
+        assert len(seen) <= 1 + 12
+
+    @pytest.mark.parametrize("name,delta", [("haar", 0.5), ("ghz-rank-2", 0.01)])
+    def test_pure_states_send_one_fragment_of_each_pair(self, monkeypatch, name, delta):
+        """On a Haar N = 6 state the kernel reads the whole environment and one
+        fragment of each of the 31 pairs (F, E minus F); the rank-2 reduced GHZ
+        has no complements, so every one of its 63 curve fragments goes in."""
+        rho = (qd.make_haar_pure(2, qd.std_layout(2, [2] * 6)).to_density()
+               if name == "haar" else qd.make_ghz_reduced(6))
+        seen = []
+        kernel = objectivity.pointer_ensembles
+
+        def spy(state, system, fragments, basis):
+            seen.extend(map(tuple, fragments))
+            return kernel(state, system, fragments, basis)
+
+        monkeypatch.setattr(objectivity, "pointer_ensembles", spy)
+        qd.redundancy(rho, "S", delta, strategy="exhaustive")
+        env = rho.layout.environment_labels
+        every = {f for k in range(1, 7) for f in itertools.combinations(env, k)}
+        assert len(seen) == len(set(seen)) == (32 if name == "haar" else 63)
+        assert set(seen) <= every
+        complements = {tuple(l for l in env if l not in f) for f in seen} - {()}
+        assert complements | set(seen) == every
+        assert set(seen) == every or name == "haar"
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+    @pytest.mark.parametrize("name,delta", [
+        ("haar-2x[2]*5", 0.4), ("rank-1 3x[2,3,2]", 0.3), ("ghz-3x[3,2,3,3]", 0.05)])
+    def test_pure_scans_match_a_per_fragment_oracle(self, strategy, name, delta):
+        """A scan that reads half its fragments as complements reports what direct
+        pointer_ensemble calls, one per fragment at the scan's basis, give."""
+        rho = {"haar-2x[2]*5": lambda: qd.make_haar_pure(
+                   4, qd.std_layout(2, [2] * 5)).to_density(),
+               "rank-1 3x[2,3,2]": lambda: qd.make_random_density(
+                   7, qd.std_layout(3, [2, 3, 2]), rank=1),
+               "ghz-3x[3,2,3,3]": lambda: pure_ghz(3, [3, 2, 3, 3])}[name]()
+        rep = qd.redundancy(rho, "S", delta, strategy=strategy)
+        env = rho.layout.environment_labels
+        basis = qd.pointer_basis(rho, "S")
+        ens = {f: qd.pointer_ensemble(rho, "S", f, basis)
+               for k in range(1, len(env) + 1) for f in itertools.combinations(env, k)}
+        h_pointer = qd.entropy_bits(ens[env].probabilities)
+        threshold = (1.0 - delta) * h_pointer - qd.DEFAULT_OPT.eps_opt
+        for k, pt in enumerate(rep.scan_curve, start=1):
+            layer = [e for f, e in ens.items() if len(f) == k]
+            assert pt.n_samples == len(layer)
+            for got, field in ((pt.mean_holevo, "holevo"), (pt.mean_discord, "discord"),
+                               (pt.mean_mutual_info, "mutual_information")):
+                assert abs(got - np.mean([getattr(e, field) for e in layer])) <= 1e-12
+        found, remaining = [], list(env)
+        for k in range(1, len(env) + 1):
+            if not remaining or ens[tuple(remaining)].holevo < threshold:
+                continue
+            for f in itertools.combinations(remaining, k):
+                if (set(f) <= set(remaining) and ens[f].holevo >= threshold
+                        and not any(set(m) <= set(f) for m in found)):
+                    found.append(f)
+                    if strategy == "greedy":
+                        remaining = [l for l in remaining if l not in f]
+        witnesses = (objectivity._max_disjoint_packing(found) if strategy == "exhaustive"
+                     else found)
+        assert found, "the oracle finds no qualifying fragment"
+        assert rep.witness_fragments == tuple(witnesses)
+        assert rep.r_delta == len(witnesses)
+        assert rep.f_delta_min == len(found[0]) / len(env)
+        assert abs(rep.pointer_entropy - h_pointer) <= 1e-12
 
     def test_stacks_bound_the_memory_of_a_scan(self):
         """A layer of GHZ N = 8 fragments is split in stacks of at most

@@ -9,8 +9,8 @@ Every reduction goes through one seam, the factor: the reduction to labels K
 is the factor W = V with the kept indices moved to its rows and the traced
 ones to its columns, and its spectrum is that of the smaller of W W^dagger and
 W^dagger W (:func:`reduced_factor`, :func:`reduced_spectrum`,
-:func:`partial_trace`).  The pointer blocks the diagnostics read are products
-of branch factors (:mod:`qdarwin.measures`).
+:func:`partial_trace`).  The fragment diagnostics read products of branch
+factors in the range of rho_F (:mod:`qdarwin.measures`).
 """
 
 from __future__ import annotations

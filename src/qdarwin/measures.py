@@ -8,11 +8,11 @@ in stacks of at most ``STACK_BYTES``, one rotation splits a stack into branch
 factors W_i = (<i| x 1) W with p_i = |W_i|_F^2, and batched Gram spectra give
 the conditionals, H(F) and H(SF), the latter two through the state's memo;
 rho_S is read from the first factor.  The budget bounds the branch and Gram
-copies a stack adds to the factors.  The pointer blocks W_i W_j^dagger, which
-the broadcast detector and the distance bound read, the conditionals and rho_F
-are formed only when read; the bound's fidelities ||W_i^dagger W_j||_1 /
-sqrt(p_i p_j) need only the branch factors, each cut to d_f columns by a QR
-decomposition first.
+copies a stack adds to the factors.  The other diagnostics read the branches in
+the range of rho_F, B_i = Q^dagger W_i with at most min(d_f, d_s c) rows for c
+columns of W: the pointer blocks B_i B_j^dagger, the overlaps and fidelities of
+B_i^dagger B_j, and the accessible-information bracket.  Only the subenvironment
+overlaps and the optimized lower bound read all d_f dimensions of the fragment.
 
 One rule chooses the basis: the canonical eigenbasis of rho_S, any degenerate
 cluster refined against fragment probes of the same factor.  Inside a cluster
@@ -46,7 +46,6 @@ from .core import (
     partial_trace,
     reduced_factor,
     reduced_spectrum,
-    validate_factor,
 )
 from .errors import DimensionMismatch, OverlappingParts
 from .optimize import DEFAULT_OPT, OptimizerConfig, maximize_over_bases
@@ -136,13 +135,6 @@ def conditional_mutual_information(rho: DensityMatrix, part_a: Sequence[str],
     return 0.0 if -EPS_NUM <= value < 0.0 else value
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of |eigenvalues| of the Hermitian part; every caller passes a
-    difference of Hermitian operators."""
-    m = np.asarray(matrix, dtype=complex)
-    return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2.0)).sum())
-
-
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Square-root fidelity ||sqrt(a) sqrt(b)||_1, in [0, 1], read from the
     factors a = A A^dagger and b = B B^dagger as ||A^dagger B||_1."""
@@ -203,7 +195,14 @@ def branch_decomposition(rho: DensityMatrix, system: str,
     """
     ens = pointer_ensemble(rho, system, [l for l in rho.layout.labels if l != system],
                            basis)
-    return ens.probabilities, [None if c is None else c.matrix for c in ens.conditional_states]
+    conds = iter(_conditionals(ens.branch_factors, ens.probabilities))
+    return ens.probabilities, [next(conds) if p > TOL_PROB else None for p in ens.probabilities]
+
+
+def _conditionals(factors: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """rho_i = F_i F_i^dagger / p_i of each branch factor F_i with p_i above ``TOL_PROB``."""
+    live = probs > TOL_PROB
+    return np.stack([c @ c.conj().T for c in factors[live] / np.sqrt(probs[live])[:, None, None]])
 
 
 @dataclass(frozen=True)
@@ -212,10 +211,10 @@ class PointerEnsemble:
 
     ``eigenvalues`` are those of rho_S in descending order.  ``branch_factors[i]``
     is W_i = (<i| x 1) W for the factor W of the (S, F) reduction, so
-    p_i rho_F|i = W_i W_i^dagger.  Entropies are in bits; ``h_f_given_s`` is
-    sum_i p_i H(rho_F|i).  ``blocks``, ``conditional_states`` (None for a branch with
-    probability below ``TOL_PROB``) and, but on :func:`pointer_ensemble`'s, the branch
-    factors are formed on first read, so the ensembles of a scan hold no factor.
+    p_i rho_F|i = W_i W_i^dagger, and ``range_factors[i]`` is the same branch in the
+    range of rho_F.  Entropies are in bits; ``h_f_given_s`` is sum_i p_i H(rho_F|i).
+    Both factors, but on :func:`pointer_ensemble`'s the branch factors, are formed on
+    first read, so the ensembles of a scan hold no factor.
     """
 
     system: str
@@ -235,18 +234,17 @@ class PointerEnsemble:
         return _split(self.basis, w[None])[0]
 
     @cached_property
-    def blocks(self) -> np.ndarray:
-        """Pointer blocks <i|rho_SF|j> = W_i W_j^dagger as a (d_s, d_s, d_f, d_f)
-        array: ``blocks[i, j]`` is an operator on the fragment."""
+    def range_factors(self) -> np.ndarray:
+        """B_i = Q^dagger W_i, (d_s, k, m), Q an isometry onto a space holding range(rho_F),
+        k <= min(d_f, d_s c), m <= d_s k: W_i = Q B_i, so B_i B_j^dagger and B_i^dagger B_j
+        have the singular values of W_i W_j^dagger and W_i^dagger W_j.  B is R of a tall
+        [W_1 ... W_{d_s}] = Q R, else Q = 1 and W is cut to d_s d_f columns (:func:`_narrow`)."""
         w = self.branch_factors
-        return np.tensordot(w, w.conj(), axes=(2, 2)).transpose(0, 2, 1, 3)
-
-    @cached_property
-    def conditional_states(self) -> tuple[DensityMatrix | None, ...]:
-        """rho_F|i as states on the fragment, each with its factor W_i / sqrt(p_i)."""
-        layout = self.state.layout.subset(self.fragment, system=None)
-        return tuple(validate_factor(b / np.sqrt(p), layout) if p > TOL_PROB else None
-                     for b, p in zip(self.branch_factors, self.probabilities))
+        d_s, d_f, c = w.shape
+        if d_f > d_s * c:
+            r = np.linalg.qr(w.transpose(1, 0, 2).reshape(d_f, d_s * c), mode="r")
+            return r.reshape(-1, d_s, c).transpose(1, 0, 2)
+        return _narrow(w.reshape(d_s * d_f, c)).reshape(d_s, d_f, -1)
 
     @property
     def mutual_information(self) -> float:
@@ -275,12 +273,6 @@ class PointerEnsemble:
         branches' conditionals share this one's spectra, and H(F), H(SF) swap."""
         return replace(self, fragment=fragment, h_f=self.h_sf, h_sf=self.h_f)
 
-    def live(self) -> tuple[np.ndarray, list[DensityMatrix]]:
-        """Probabilities and conditional states of the branches that occur."""
-        kept = [(p, c) for p, c in zip(self.probabilities, self.conditional_states)
-                if c is not None]
-        return np.array([p for p, _ in kept]), [c for _, c in kept]
-
     def accessible_information(self, opt: OptimizerConfig,
                                optimize_lower: bool) -> AccessibleInfoBounds:
         """Bracket the accessible information of this ensemble.
@@ -290,20 +282,20 @@ class PointerEnsemble:
         common-eigenbasis measurement achieves it and the bracket is exact.
         Otherwise the lower bound is the best classical mutual information over
         projective fragment measurements (the eigenbasis of rho_F when
-        ``optimize_lower`` is off, e.g. inside large batch runs).
+        ``optimize_lower`` is off, e.g. inside large batch runs).  All but the optimized
+        bound read the range of rho_F; a search on all of the fragment can find more.
         """
         chi = self.holevo
-        ps, states = self.live()
-        if not states:
-            return AccessibleInfoBounds(0.0, chi, True, False)
-        cs = np.stack([c.matrix for c in states])
+        ps = self.probabilities[self.probabilities > TOL_PROB]
+        cs = _conditionals(self.range_factors, self.probabilities)
         if all(np.linalg.norm(ci @ cj - cj @ ci) < TAU_COMM for ci, cj in combinations(cs, 2)):
             lower = classical_mutual_information(ps, cs, common_eigenbasis([cs]))
             return AccessibleInfoBounds(lower, chi, True, False)
         if not optimize_lower:
-            _, vecs = eig_hermitian(partial_trace(self.state, self.fragment).matrix)
+            _, vecs = eig_hermitian(sum(b @ b.conj().T for b in self.range_factors))
             lower = classical_mutual_information(ps, cs, vecs)
             return AccessibleInfoBounds(lower, chi, False, False)
+        cs = _conditionals(self.branch_factors, self.probabilities)
         result = maximize_over_bases(partial(_classical_mi, ps, cs), len(cs[0]), opt)
         return AccessibleInfoBounds(min(result.value, chi + opt.eps_opt), chi, False, True,
                                     result.restarts, result.gap, result.iterations,

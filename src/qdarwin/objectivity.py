@@ -27,6 +27,7 @@ from .core import (
     TOL_PROB,
     DensityMatrix,
     ProjectiveMeasurement,
+    SubsystemLayout,
     partial_trace,
 )
 from .errors import (
@@ -38,14 +39,13 @@ from .errors import (
 from .measures import (
     AccessibleInfoBounds,
     PointerEnsemble,
+    _conditionals,
     _disjoint,
     conditional_mutual_information,
     entropy_bits,
-    fidelity,
     pointer_basis,
     pointer_ensemble,
     pointer_ensembles,
-    trace_norm,
 )
 from .optimize import DEFAULT_OPT, OptimizerConfig
 
@@ -214,22 +214,27 @@ def detect_broadcast_structure(rho: DensityMatrix, system: str,
     return _broadcast_structure(ens, independence)
 
 
-def _max_overlap(states: Sequence[np.ndarray]) -> float:
-    """Largest |tr(a b)| over pairs of ``states``; 0 for fewer than two."""
+def _max_overlap(factors: np.ndarray, probs: np.ndarray) -> float:
+    """Largest tr(rho_i rho_j) over pairs of live branches' conditionals (0 if < 2)."""
     return max((abs(float(np.trace(a @ b).real))
-                for a, b in itertools.combinations(states, 2)), default=0.0)
+                for a, b in itertools.combinations(_conditionals(factors, probs), 2)),
+               default=0.0)
 
 
 def _broadcast_structure(ens: PointerEnsemble,
                          independence: IndependenceVerdict | None) -> SbsVerdict:
-    max_offdiag = max(float(np.linalg.norm(ens.blocks[i, j]))
-                      for i, j in itertools.combinations(range(len(ens.probabilities)), 2))
+    b, p = ens.range_factors, ens.probabilities
+    max_offdiag = max(float(np.linalg.norm(b[i] @ b[j].conj().T))
+                      for i, j in itertools.combinations(range(len(p)), 2))
     cq_ok = max_offdiag <= TOL_OFFDIAG
 
-    live = ens.live()[1]
-    max_whole = _max_overlap([c.matrix for c in live])
-    max_sub = max(_max_overlap([partial_trace(c, [lab]).matrix for c in live])
-                  for lab in ens.fragment)
+    max_whole = _max_overlap(b, p)
+    # a subenvironment's branch factors: the (S, E_j) part of the rotated (S, F) factor
+    w = ens.branch_factors
+    rotated = DensityMatrix(w.reshape(-1, w.shape[2]), SubsystemLayout.of(
+        *((l, ens.state.layout.dim_of(l)) for l in (ens.system, *ens.fragment))))
+    subs = (partial_trace(rotated, (ens.system, lab)).factor for lab in ens.fragment)
+    max_sub = max(_max_overlap(x.reshape(len(p), -1, x.shape[1]), p) for x in subs)
     whole_ok = max_whole <= TOL_OVERLAP
     sub_ok = max_sub <= TOL_OVERLAP
 
@@ -378,21 +383,23 @@ def _deficit(ens: PointerEnsemble) -> float:
 def broadcast_distance_bound(rho: DensityMatrix, system: str,
                              fragment: Sequence[str] | None = None,
                              pointer: ProjectiveMeasurement | None = None) -> float:
-    """Computable bound on the trace distance to the broadcast-structure set:
-    the full trace norm of (rho - dephased rho) plus the pairwise-fidelity sum
-    over ordered branch pairs, at ``pointer`` (default the ensemble's pointer basis)."""
+    """Computable upper bound eta on the trace norm ||rho - sigma||_1 to the
+    broadcast-structure set, twice the trace distance: the trace norm of
+    (rho - dephased rho) plus 2 sqrt(p_i p_j) F(rho_i, rho_j) over pairs of branches,
+    at ``pointer`` (default the ensemble's pointer basis)."""
     frag = _fragment(rho, system, fragment)
     return _distance_bound(pointer_ensemble(rho, system, frag, pointer))
 
 
 def _distance_bound(ens: PointerEnsemble) -> float:
-    # rho_SF minus its dephased self is the array of off-diagonal pointer blocks
-    d_s, _, d_f, _ = ens.blocks.shape
-    off = ens.blocks * (1.0 - np.eye(d_s))[:, :, None, None]
-    term1 = trace_norm(off.transpose(0, 2, 1, 3).reshape(d_s * d_f, -1))
-    term2 = 0.0
-    for (pi, ci), (pj, cj) in itertools.combinations(zip(*ens.live()), 2):
-        term2 += 2.0 * math.sqrt(pi * pj) * fidelity(ci, cj)
+    # rho_SF minus its dephased self: the off-diagonal pointer blocks B_i B_j^dagger
+    b, p = ens.range_factors, ens.probabilities
+    off = np.tensordot(b, b.conj(), axes=(2, 2)) * (1.0 - np.eye(len(b)))[:, None, :, None]
+    term1 = float(np.abs(np.linalg.eigvalsh(off.reshape(b.shape[0] * b.shape[1], -1))).sum())
+    # 2 sqrt(p_i p_j) F(rho_i, rho_j), F clamped to 1, as 2 ||B_i^dagger B_j||_1
+    term2 = sum(2.0 * min(float(np.linalg.svd(b[i].conj().T @ b[j], compute_uv=False).sum()),
+                          math.sqrt(p[i] * p[j]))
+                for i, j in itertools.combinations(np.flatnonzero(p > TOL_PROB), 2))
     return term1 + term2
 
 

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qdarwin import make_random_density, std_layout, validate_factor
+from qdarwin.core import TOL_PROB
 
 
 RANDOM_LAYOUTS = (
@@ -45,3 +46,13 @@ def pure_ghz(system_dim: int, env_dims):
     for k in range(m):
         factor[np.ravel_multi_index([k] * len(dims), dims), 0] = 1.0 / np.sqrt(m)
     return validate_factor(factor, layout)
+
+
+def live_conditionals(ens):
+    """Probabilities and conditional states of the branches of a pointer ensemble
+    with p_i above ``TOL_PROB``, each state built from its branch factor as
+    W_i / sqrt(p_i)."""
+    layout = ens.state.layout.subset(ens.fragment, system=None)
+    kept = [(p, validate_factor(w / np.sqrt(p), layout))
+            for p, w in zip(ens.probabilities, ens.branch_factors) if p > TOL_PROB]
+    return np.array([p for p, _ in kept]), [c for _, c in kept]

@@ -6,6 +6,8 @@ Kronecker projectors, separate from the library's tensor-index code paths.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -136,6 +138,13 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
+def trace_norm(matrix: np.ndarray) -> float:
+    """Sum of |eigenvalues| of the Hermitian part; every caller passes a
+    difference of Hermitian operators."""
+    m = np.asarray(matrix, dtype=complex)
+    return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2.0)).sum())
+
+
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Square-root fidelity ||sqrt(a) sqrt(b)||_1, as the trace norm of A^dagger B
     for factors a = A A^dagger and b = B B^dagger that keep the eigenvalues above
@@ -193,3 +202,31 @@ def block_split(rho: np.ndarray, d_sys: int, kets) -> dict:
     return {"offdiag": float(offdiag),
             "trace_norm": float(np.abs(np.linalg.eigvalsh(rho - dephased)).sum()),
             "overlap": overlap, "fidelity_sum": float(fid_sum)}
+
+
+def subenvironment_overlap(rho: np.ndarray, dims, kets) -> float:
+    """Largest tr(rho_i rho_j) over the subenvironments of a system-first state on
+    factors ``dims`` and over pairs of its normalized conditionals with p > 1e-12,
+    each reduced to one subenvironment by :func:`partial_trace`."""
+    conds = [b / p for p, b in pointer_branches(rho, dims[0], kets) if p > 1e-12]
+    best = 0.0
+    for k in range(len(dims) - 1):
+        reduced = [partial_trace(c, dims[1:], [k]) for c in conds]
+        best = max([best] + [abs(float(np.trace(a @ b).real))
+                             for a, b in combinations(reduced, 2)])
+    return best
+
+
+def accessible_bracket(rho: np.ndarray, d_sys: int, kets) -> tuple[float, float]:
+    """(lower, upper) of the accessible-information bracket without the optimizer.
+    The upper bound is chi.  Conditionals that commute (Frobenius norm of each
+    commutator below 1e-9) share an eigenbasis, which attains chi; otherwise the
+    lower bound is the classical mutual information of measuring in the
+    eigenbasis of rho_F."""
+    branches = [(p, b / p) for p, b in pointer_branches(rho, d_sys, kets) if p > 1e-12]
+    chi = holevo_in_basis(rho, d_sys, kets)
+    conds = [c for _, c in branches]
+    if all(np.linalg.norm(a @ b - b @ a) < 1e-9 for a, b in combinations(conds, 2)):
+        return chi, chi
+    _, vecs = np.linalg.eigh(sum(p * c for p, c in branches))
+    return classical_mi_and_gradient([p for p, _ in branches], conds, vecs)[0], chi

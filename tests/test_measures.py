@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 import qdarwin as qd
 from qdarwin import errors
 from qdarwin.core import reduced_factor
-from qdarwin.measures import (_probe_stacks, classical_mutual_information,
-                               common_eigenbasis, trace_norm)
+from qdarwin.measures import _probe_stacks, classical_mutual_information, common_eigenbasis
 from qdarwin.zoo import haar_random_unitary, horodecki_holevo_closed_form
 
 import oracles
-from conftest import pure_ghz, random_state
+from conftest import live_conditionals, pure_ghz, random_state
 
 
 def bell_state():
@@ -114,7 +113,7 @@ class TestConditionalMutualInformation:
 
 
 def trace_distance(a, b):
-    return 0.5 * trace_norm(a.matrix - b.matrix)
+    return 0.5 * oracles.trace_norm(a.matrix - b.matrix)
 
 
 class TestTraceDistance:
@@ -331,7 +330,7 @@ class TestAccessibleInformation:
         # chain: chi >= I_acc lower >= H({p}) - 2 sqrt(p1 p2) B(rho_1, rho_2)
         rho = random_state(seed, qd.std_layout(2, [2]))
         ens = qd.pointer_ensemble(rho, "S", ["E1"])
-        probs, conds = ens.live()
+        probs, conds = live_conditionals(ens)
         if len(conds) < 2:
             return
         (p1, p2), (r1, r2) = probs, conds

@@ -20,6 +20,8 @@ from qdarwin.optimize import (
 )
 from qdarwin.zoo import haar_random_unitary
 
+from conftest import live_conditionals
+
 
 def alignment_objective(target: np.ndarray):
     """sum_a |<target|u_a>|^4 and its gradient: 1 exactly when some basis ket
@@ -47,7 +49,7 @@ def cayley(h, t, basis):
 def ensemble(seed, dims):
     rho = qd.make_random_density(seed, qd.std_layout(dims[0], dims[1:]))
     ens = qd.pointer_ensemble(rho, "S", list(rho.layout.environment_labels))
-    probs, conds = ens.live()
+    probs, conds = live_conditionals(ens)
     return ens, probs, np.stack([c.matrix for c in conds])
 
 

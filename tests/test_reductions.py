@@ -57,6 +57,11 @@ STATES = {
     "system-in-middle": system_in_middle,
     "ghz-system-last": ghz_system_last,
     "negative-eigenvalue": negative_eigenvalue_state,
+    # the three shapes of PointerEnsemble.range_factors (see RANGE_SHAPES)
+    **{f"rank-{r}-2x[2,3,2]": (lambda r=r: qd.make_random_density(
+        20 + r, qd.std_layout(2, [2, 3, 2]), rank=r)) for r in (1, 2, 3)},
+    "ghz-6": lambda: qd.make_ghz_reduced(6),
+    "full-rank-2x[2,2]": lambda: qd.make_random_density(23, qd.std_layout(2, [2, 2])),
 }
 
 
@@ -141,6 +146,52 @@ def test_fragment_bound_matches_dense_oracle(make):
         want = oracles.block_split(joint, 2, kets)
         assert abs(qd.broadcast_distance_bound(rho, "S", [frag])
                    - (want["trace_norm"] + want["fidelity_sum"])) <= TOL, frag
+
+
+# (state, fragment, shape) with B = range_factors of shape (d_s, k, m) for W with c columns:
+# "tall" has d_f > d_s c, so k = d_s c < d_f; "wide" has c > d_s d_f, so k = d_f and m < c;
+# "square" is neither, k = d_f and m = c.
+RANGE_SHAPES = {
+    **{f"rank-{r}-2x[2,3,2]": (STATES[f"rank-{r}-2x[2,3,2]"], None, "tall") for r in (1, 2, 3)},
+    "ghz-6": (STATES["ghz-6"], None, "tall"),
+    "full-rank-2x[2]^5-E1": (lambda: qd.make_random_density(24, qd.std_layout(2, [2] * 5)),
+                             ["E1"], "wide"),
+    "full-rank-2x[2,2]": (STATES["full-rank-2x[2,2]"], None, "square"),
+}
+
+
+@pytest.mark.parametrize("name", list(RANGE_SHAPES))
+def test_range_factors_match_dense_oracle(name):
+    """Every diagnostic read from the range factor, on each of its three shapes,
+    against a dense split of the (system, fragment) reduction: the off-diagonal
+    norm and both overlaps at the detector's pointer, eta and the bracket without
+    the optimizer at the canonical one."""
+    make, fragment, shape = RANGE_SHAPES[name]
+    rho = make()
+    labels, dims = rho.layout.labels, rho.layout.dims
+    frag = list(rho.layout.environment_labels) if fragment is None else fragment
+    keep = [0, *(labels.index(l) for l in frag)]
+    joint = oracles.partial_trace(rho.matrix, dims, keep)
+    ens = qd.pointer_ensemble(rho, "S", frag)
+    (d_s, d_f, c), (_, k, m) = ens.branch_factors.shape, ens.range_factors.shape
+    assert {"tall": k == d_s * c < d_f, "wide": k == d_f and m < c,
+            "square": k == d_f and m == c}[shape]
+
+    sbs = qd.detect_broadcast_structure(rho, "S", frag)
+    kets = sbs.pointer.basis.T
+    want = oracles.block_split(joint, d_s, kets)
+    assert abs(sbs.max_offdiagonal_block_norm - want["offdiag"]) <= 1e-12
+    assert abs(sbs.max_whole_fragment_overlap - want["overlap"]) <= 1e-12
+    assert abs(sbs.max_pairwise_overlap
+               - oracles.subenvironment_overlap(joint, [dims[i] for i in keep], kets)) <= 1e-12
+
+    kets = ens.basis.basis.T
+    want = oracles.block_split(joint, d_s, kets)
+    assert abs(qd.broadcast_distance_bound(rho, "S", frag)
+               - (want["trace_norm"] + want["fidelity_sum"])) <= 1e-12
+    acc = qd.accessible_information_bounds(rho, "S", frag, optimize_lower=False)
+    assert np.max(np.abs(np.subtract((acc.lower, acc.upper),
+                                     oracles.accessible_bracket(joint, d_s, kets)))) <= 1e-12
 
 
 def zero_branch_state():

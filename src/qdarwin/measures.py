@@ -14,12 +14,14 @@ columns of W: the pointer blocks B_i B_j^dagger, the overlaps and fidelities of
 B_i^dagger B_j, and the accessible-information bracket.  Only the subenvironment
 overlaps and the optimized lower bound read all d_f dimensions of the fragment.
 
-One rule chooses the basis: the canonical eigenbasis of rho_S, any degenerate
-cluster refined against fragment probes of the same factor.  Inside a cluster
-every basis gives the same H(S^Pi), so every measure and verdict reads the one
-observable the fragment records.  Measurement optimization happens on the
-fragment side, in the accessible-information lower bound (:func:`_classical_mi`,
-which reads a stack of bases from one product V = rho U per block of bases).
+One rule chooses the basis, :func:`pointer_basis` (rho, system, fragment=None): the
+canonical eigenbasis of rho_S, any degenerate cluster refined against the probes of
+the fragment, by default every other factor; :func:`pointer_ensemble` is the kernel
+at that basis.  Inside a cluster every basis gives the same H(S^Pi), so every
+measure and verdict reads the one observable the fragment records.  Measurement
+optimization happens on the fragment side, in the accessible-information lower
+bound (:func:`_classical_mi`, which reads a stack of bases from one product
+V = rho U per block of bases).
 """
 
 from __future__ import annotations
@@ -152,18 +154,24 @@ def _narrow(factor: np.ndarray) -> np.ndarray:
     return np.linalg.qr(factor.T, mode="r").T
 
 
-def pointer_basis(rho: DensityMatrix, system: str) -> ProjectiveMeasurement:
-    """The pointer basis of :func:`pointer_ensemble`, refined against every other
-    factor: one observable for every fragment of a scan."""
-    w = reduced_factor(rho, (system, *(l for l in rho.layout.labels if l != system)))
-    return _pointer(system, partial_trace(rho, [system]).matrix, w)
+def _fragment(rho: DensityMatrix, system: str,
+              fragment: Sequence[str] | None = None) -> tuple[str, ...]:
+    """The fragment in layout order; every factor except ``system`` when None."""
+    return rho.layout.require(
+        [l for l in rho.layout.labels if l != system] if fragment is None else fragment)
 
 
-def _pointer(system: str, rho_s: np.ndarray, w: np.ndarray) -> ProjectiveMeasurement:
-    """The canonical eigenbasis of rho_S, its degenerate clusters refined against
-    the probes of the (S, F) factor ``w``."""
+def pointer_basis(rho: DensityMatrix, system: str,
+                  fragment: Sequence[str] | None = None) -> ProjectiveMeasurement:
+    """The pointer basis: the canonical eigenbasis of rho_S, its degenerate clusters
+    refined against the probes of ``fragment`` (:func:`_probe_stacks`), by default
+    every other factor, so that one observable serves every fragment of a scan."""
+    frag = _fragment(rho, system, fragment)
+    _disjoint([system], frag)
+    rho_s = partial_trace(rho, [system]).matrix
     eigenvalues, vecs = eig_hermitian(rho_s)
     if np.any(eigenvalues[:-1] - eigenvalues[1:] < DEGENERACY_GAP):
+        w = reduced_factor(rho, (system, *frag))
         vecs = canonical_phases(common_eigenbasis(_probe_stacks(rho_s, w)))
     return ProjectiveMeasurement(system, vecs)
 
@@ -193,8 +201,7 @@ def branch_decomposition(rho: DensityMatrix, system: str,
 
     Outcomes with probability below ``TOL_PROB`` have conditional None.
     """
-    ens = pointer_ensemble(rho, system, [l for l in rho.layout.labels if l != system],
-                           basis)
+    ens = pointer_ensemble(rho, system, _fragment(rho, system), basis)
     conds = iter(_conditionals(ens.branch_factors, ens.probabilities))
     return ens.probabilities, [next(conds) if p > TOL_PROB else None for p in ens.probabilities]
 
@@ -213,8 +220,7 @@ class PointerEnsemble:
     is W_i = (<i| x 1) W for the factor W of the (S, F) reduction, so
     p_i rho_F|i = W_i W_i^dagger, and ``range_factors[i]`` is the same branch in the
     range of rho_F.  Entropies are in bits; ``h_f_given_s`` is sum_i p_i H(rho_F|i).
-    Both factors, but on :func:`pointer_ensemble`'s the branch factors, are formed on
-    first read, so the ensembles of a scan hold no factor.
+    Both factors are formed on first read, so the ensembles of a scan hold no factor.
     """
 
     system: str
@@ -230,8 +236,7 @@ class PointerEnsemble:
 
     @cached_property
     def branch_factors(self) -> np.ndarray:
-        w = reduced_factor(self.state, (self.system, *self.fragment))
-        return _split(self.basis, w[None])[0]
+        return _split(self.basis, reduced_factor(self.state, (self.system, *self.fragment)))
 
     @cached_property
     def range_factors(self) -> np.ndarray:
@@ -305,18 +310,9 @@ class PointerEnsemble:
 def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
                      basis: ProjectiveMeasurement | None = None) -> PointerEnsemble:
     """The :func:`pointer_ensembles` kernel on one fragment, at ``basis`` or by
-    default at the canonical eigenbasis of rho_S, its degenerate clusters refined
-    against this fragment's probes (:func:`_probe_stacks`).  The (S, F) factor is
-    formed once, and the ensemble keeps its branch factors."""
-    frag = rho.layout.require(fragment)
-    _disjoint([system], frag)
-    w = reduced_factor(rho, (system, *frag))
-    w_s = w.reshape(rho.layout.dim_of(system), -1)
-    rho_s = w_s @ w_s.conj().T
-    basis = _pointer(system, rho_s, w) if basis is None else basis
-    [ens], branches = _stack_ensembles(rho, system, [frag], basis, w[None], rho_s)
-    object.__setattr__(ens, "branch_factors", branches[0])  # the cached_property's value
-    return ens
+    default at :func:`pointer_basis` against this fragment."""
+    return pointer_ensembles(rho, system, [fragment],
+                             basis or pointer_basis(rho, system, fragment))[0]
 
 
 # Bytes of (S, F) factors in one stack of :func:`pointer_ensembles`.  Each has
@@ -335,54 +331,45 @@ def pointer_ensembles(rho: DensityMatrix, system: str,
     for frag in frags:
         _disjoint([system], frag)
     d_s = rho.layout.dim_of(system)
+    if basis.basis.shape[0] != d_s:
+        raise DimensionMismatch(
+            f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
     groups: dict[int, list[int]] = {}
     for k, frag in enumerate(frags):
         groups.setdefault(math.prod(map(rho.layout.dim_of, frag)), []).append(k)
     per_stack = max(1, STACK_BYTES // rho.factor.nbytes)
-    out, rho_s = {}, None
+    out, h_s = {}, None
     for d_f, members in groups.items():
         for chunk in (members[i:i + per_stack] for i in range(0, len(members), per_stack)):
             w = np.empty((len(chunk), d_s * d_f, rho.factor.size // (d_s * d_f)), dtype=complex)
             for j, k in enumerate(chunk):
                 w[j] = reduced_factor(rho, (system, *frags[k]))
-            if rho_s is None:  # any (S, F) factor is a factor of rho_S; keep no view of w
+            if h_s is None:  # any (S, F) factor is a factor of rho_S
                 rho_s = w[0].reshape(d_s, -1) @ w[0].reshape(d_s, -1).conj().T
-            ensembles, _ = _stack_ensembles(rho, system, [frags[k] for k in chunk], basis,
-                                            w, rho_s)
-            out.update(zip(chunk, ensembles))
+                eigenvalues = np.linalg.eigvalsh((rho_s + rho_s.conj().T) / 2.0)[::-1]
+                h_s = float(_spectrum_entropy(eigenvalues))
+            h_sf = _memo_entropies(rho, [rho.layout.require((system, *frags[k])) for k in chunk],
+                                   w, d_s * d_f)
+            h_f = _memo_entropies(rho, [frags[k] for k in chunk],
+                                  w.reshape(len(w), d_s, d_f, -1).transpose(0, 2, 1, 3), d_f)
+            branches = _split(basis, w)
+            probs = np.einsum("nifc,nifc->ni", branches.conj(), branches).real
+            live = probs > TOL_PROB
+            cond = _spectrum_entropy(gram_spectrum(branches)
+                                     / np.where(live, probs, 1.0)[..., None])
+            h_f_given_s = np.where(live, probs * cond, 0.0).sum(axis=1)
+            out.update((k, PointerEnsemble(system, frags[k], rho, eigenvalues, basis, probs[j],
+                                           h_s, float(h_f[j]), float(h_sf[j]),
+                                           float(h_f_given_s[j])))
+                       for j, k in enumerate(chunk))
     return [out[k] for k in range(len(frags))]
 
 
-def _stack_ensembles(rho: DensityMatrix, system: str, frags: list[tuple[str, ...]],
-                     basis: ProjectiveMeasurement, w: np.ndarray, rho_s: np.ndarray
-                     ) -> tuple[list[PointerEnsemble], np.ndarray]:
-    """The ensembles of one stack of fragments of one dimension, whose (S, F) factors
-    are ``w``, and their branch factors."""
-    n, d_s = len(w), rho_s.shape[0]
-    if basis.basis.shape[0] != d_s:
-        raise DimensionMismatch(
-            f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
-    eigenvalues = np.linalg.eigvalsh((rho_s + rho_s.conj().T) / 2.0)[::-1]
-    h_s = float(_spectrum_entropy(eigenvalues))
-    d_f = w.shape[1] // d_s
-    h_sf = _memo_entropies(rho, [tuple(l for l in rho.layout.labels
-                                       if l == system or l in frag) for frag in frags],
-                           w, d_s * d_f)
-    h_f = _memo_entropies(rho, frags, w.reshape(n, d_s, d_f, -1).transpose(0, 2, 1, 3), d_f)
-    branches = _split(basis, w)
-    probs = np.einsum("nifc,nifc->ni", branches.conj(), branches).real
-    live = probs > TOL_PROB
-    cond = _spectrum_entropy(gram_spectrum(branches) / np.where(live, probs, 1.0)[..., None])
-    h_f_given_s = np.where(live, probs * cond, 0.0).sum(axis=1)
-    return [PointerEnsemble(system, frag, rho, eigenvalues, basis, probs[j], h_s,
-                            float(h_f[j]), float(h_sf[j]), float(h_f_given_s[j]))
-            for j, frag in enumerate(frags)], branches
-
-
 def _split(basis: ProjectiveMeasurement, w: np.ndarray) -> np.ndarray:
-    """The branch factors (<i| x 1) W of a stack of (S, F) factors, as (n, d_s, d_f, c)."""
-    n, d_s, c = len(w), basis.basis.shape[0], w.shape[2]
-    return (basis.basis.conj().T @ w.reshape(n, d_s, -1)).reshape(n, d_s, -1, c)
+    """The branch factors (<i| x 1) W of an (S, F) factor, or of each of a stack of them,
+    as (..., d_s, d_f, c)."""
+    n, d_s, c = w.shape[:-2], basis.basis.shape[0], w.shape[-1]
+    return (basis.basis.conj().T @ w.reshape(*n, d_s, -1)).reshape(*n, d_s, -1, c)
 
 
 def _memo_entropies(rho: DensityMatrix, keys: list[tuple[str, ...]],

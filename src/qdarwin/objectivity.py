@@ -4,7 +4,7 @@ Three detectors (strong Darwinism, broadcast structure, strong independence),
 the equivalence check tying them together, the normalized objectivity deficit,
 the computable distance bound to broadcast-structured states, and redundancy
 scans over environment fragments.  All of them read one pointer basis
-(:func:`qdarwin.measures.pointer_ensemble`), subfragments and scanned fragments
+(:func:`qdarwin.measures.pointer_basis`), subfragments and scanned fragments
 included; a fragment defaults to every factor except the system.
 """
 
@@ -27,8 +27,7 @@ from .core import (
     TOL_PROB,
     DensityMatrix,
     ProjectiveMeasurement,
-    SubsystemLayout,
-    partial_trace,
+    reduced_factor,
 )
 from .errors import (
     DegenerateSystemEntropy,
@@ -41,6 +40,8 @@ from .measures import (
     PointerEnsemble,
     _conditionals,
     _disjoint,
+    _fragment,
+    _split,
     conditional_mutual_information,
     entropy_bits,
     pointer_basis,
@@ -99,13 +100,6 @@ class SqdVerdict:
             "trivial_zero_entropy": self.trivial,
             "accessible_information": None if self.acc is None else self.acc.to_dict(),
         }
-
-
-def _fragment(rho: DensityMatrix, system: str,
-              fragment: Sequence[str] | None) -> tuple[str, ...]:
-    """The fragment in layout order; every factor except ``system`` when None."""
-    return rho.layout.require(
-        [l for l in rho.layout.labels if l != system] if fragment is None else fragment)
 
 
 def check_strong_darwinism(rho: DensityMatrix, system: str,
@@ -229,12 +223,9 @@ def _broadcast_structure(ens: PointerEnsemble,
     cq_ok = max_offdiag <= TOL_OFFDIAG
 
     max_whole = _max_overlap(b, p)
-    # a subenvironment's branch factors: the (S, E_j) part of the rotated (S, F) factor
-    w = ens.branch_factors
-    rotated = DensityMatrix(w.reshape(-1, w.shape[2]), SubsystemLayout.of(
-        *((l, ens.state.layout.dim_of(l)) for l in (ens.system, *ens.fragment))))
-    subs = (partial_trace(rotated, (ens.system, lab)).factor for lab in ens.fragment)
-    max_sub = max(_max_overlap(x.reshape(len(p), -1, x.shape[1]), p) for x in subs)
+    # a subenvironment's branch factors: its (S, E_k) factor rotated to the pointer basis
+    max_sub = max(_max_overlap(_split(ens.basis, reduced_factor(ens.state, (ens.system, lab))), p)
+                  for lab in ens.fragment)
     whole_ok = max_whole <= TOL_OVERLAP
     sub_ok = max_sub <= TOL_OVERLAP
 

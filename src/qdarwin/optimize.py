@@ -30,7 +30,8 @@ MEMORY = 10     # a step must beat the lowest of a restart's last MEMORY values
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the measurement-basis search; all exposed as CLI flags."""
+    """Knobs for the measurement-basis search.  CLI flags set all but refine_starts and
+    strict_convergence: --grid, --restarts, --max-refine-iter, --seed and --tol-opt."""
 
     theta_points: int = 64
     phi_points: int = 32

@@ -21,12 +21,17 @@ from .errors import DimensionOutOfRange, InvalidLayout, OverlappingParts
 from .measures import entropy_bits
 
 MAX_HAAR_DIM = 128
+MAX_STATE_DIM = 2 ** 17  # largest total dimension of a std_layout: GHZ N = 16
 
 
 def std_layout(system_dim: int, env_dims: Sequence[int]) -> SubsystemLayout:
-    """Layout with system 'S' first, then subenvironments 'E1'..'EN'."""
+    """Layout with system 'S' first, then subenvironments 'E1'..'EN', of total
+    dimension at most ``MAX_STATE_DIM``: each constructor takes it before it allocates."""
     factors = [("S", system_dim)] + [(f"E{k + 1}", d) for k, d in enumerate(env_dims)]
-    return SubsystemLayout.of(*factors, system="S")
+    layout = SubsystemLayout.of(*factors, system="S")
+    if layout.total_dim > MAX_STATE_DIM:
+        raise DimensionOutOfRange(f"total dimension {layout.total_dim} exceeds {MAX_STATE_DIM}")
+    return layout
 
 
 def _basis_ket(dim: int, index: int) -> np.ndarray:
@@ -101,6 +106,7 @@ def _broadcast_factor(spec: SbsSpec, rotations: Sequence[np.ndarray]) -> Density
     ``rotations[k]``: branch i has the factor sqrt(p_i) |i> (x) u_1 C_i1 (x) ...,
     where C_ik holds sqrt(w_j) |j> for the support j and weight w_j of rho_i^Ek."""
     n_branches = len(spec.probabilities)
+    layout = std_layout(n_branches, spec.subenv_dims)
     branches = []
     for i, p in enumerate(spec.probabilities):
         branch = math.sqrt(p) * _basis_ket(n_branches, i)[:, None]
@@ -110,7 +116,7 @@ def _broadcast_factor(spec: SbsSpec, rotations: Sequence[np.ndarray]) -> Density
             c[list(sup), range(len(sup))] = np.sqrt(weights)
             branch = np.kron(branch, u @ c)
         branches.append(branch)
-    return validate_factor(np.hstack(branches), std_layout(n_branches, spec.subenv_dims))
+    return validate_factor(np.hstack(branches), layout)
 
 
 def _simplex_sample(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -187,11 +193,12 @@ def horodecki_holevo_closed_form(p: float) -> float:
             - (1.0 - pt))
 
 
-def _check_appendix_b(n_subenvs: int, p1: float) -> None:
+def _appendix_b_layout(n_subenvs: int, p1: float) -> SubsystemLayout:
     if n_subenvs < 2:
         raise DimensionOutOfRange("need at least two subenvironments")
     if not 0.0 < p1 < 1.0:
         raise InvalidLayout(f"p1 must lie in (0, 1), got {p1}")
+    return std_layout(2, [4] * n_subenvs)
 
 
 def _post_ket(i: int, j: int, n_subenvs: int) -> np.ndarray:
@@ -206,20 +213,20 @@ def make_correlated_branches(n_subenvs: int, p1: float = 0.5) -> DensityMatrix:
     """Qubit system with dim-4 subenvironments whose branch states are perfectly
     correlated classical mixtures: every reduced system-subenvironment pair has
     broadcast structure, the joint state does not."""
-    _check_appendix_b(n_subenvs, p1)
+    layout = _appendix_b_layout(n_subenvs, p1)
     factor = [math.sqrt(p / 2.0) * _post_ket(i, j, n_subenvs)
               for i, p in enumerate((p1, 1.0 - p1)) for j in (2 * i, 2 * i + 1)]
-    return validate_factor(np.stack(factor, axis=1), std_layout(2, [4] * n_subenvs))
+    return validate_factor(np.stack(factor, axis=1), layout)
 
 
 def make_entangled_branches(n_subenvs: int, p1: float = 0.5) -> DensityMatrix:
     """Like :func:`make_correlated_branches` but each branch is a pure entangled
     superposition across the subenvironments."""
-    _check_appendix_b(n_subenvs, p1)
+    layout = _appendix_b_layout(n_subenvs, p1)
     factor = [math.sqrt(p / 2.0) * (_post_ket(i, 2 * i, n_subenvs)
                                     + _post_ket(i, 2 * i + 1, n_subenvs))
               for i, p in enumerate((p1, 1.0 - p1))]
-    return validate_factor(np.stack(factor, axis=1), std_layout(2, [4] * n_subenvs))
+    return validate_factor(np.stack(factor, axis=1), layout)
 
 
 def make_haar_pure(seed: int, layout: SubsystemLayout) -> PureState:

@@ -183,9 +183,11 @@ class TestMake:
         # 2^64 wraps to 0 in a fixed-width product
         ["haar", "--dims", ",".join(["2"] * 64), "--seed", "1"],
         ["cq", "--overlap", "0.5", "--subenvs", "0", "--seed", "1"],
+        # dimension 2^71, above zoo.MAX_STATE_DIM
+        ["ghz", "--n", "70"],
     ], ids=["dims", "probs", "missing-spec", "spec-without-spectra", "spec-fractional-dim",
             "spec-fractional-index", "spec-string-dim", "spec-bool-index", "dims-overflow",
-            "cq-no-subenvironments"])
+            "cq-no-subenvironments", "ghz-too-large"])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-spectra.json").write_text(json.dumps(

@@ -126,10 +126,34 @@ def test_block_split_matches_dense_oracle(name):
     want = oracles.block_split(joint, d_s, sbs.pointer.basis.T)
     assert abs(sbs.max_offdiagonal_block_norm - want["offdiag"]) <= TOL
     assert abs(sbs.max_whole_fragment_overlap - want["overlap"]) <= TOL
+    env_dims = [rho.layout.dim_of(l) for l in rho.layout.environment_labels]
+    assert abs(sbs.max_pairwise_overlap - oracles.subenvironment_overlap(
+        joint, [d_s, *env_dims], sbs.pointer.basis.T)) <= TOL
 
     want = oracles.block_split(joint, d_s, qd.pointer_basis(rho, system).basis.T)
     assert abs(qd.broadcast_distance_bound(rho, system)
                - (want["trace_norm"] + want["fidelity_sum"])) <= TOL
+
+
+@pytest.mark.parametrize("name", list(STATES))
+def test_pointer_ensemble_is_the_kernel_at_pointer_basis(name):
+    """pointer_ensemble(rho, s, f) is pointer_ensembles(rho, s, [f], pointer_basis(rho, s, f))
+    to the bit, and pointer_basis(rho, s) refines against every other factor."""
+    rho = STATES[name]()
+    system = rho.layout.system
+    env = rho.layout.environment_labels
+    assert np.array_equal(qd.pointer_basis(rho, system).basis,
+                          qd.pointer_basis(rho, system, env).basis)
+    for frag in subsets(env, limit=12):
+        got = qd.pointer_ensemble(rho, system, frag)
+        [want] = qd.measures.pointer_ensembles(rho, system, [frag],
+                                               qd.pointer_basis(rho, system, frag))
+        assert got.state is want.state
+        assert (got.system, got.fragment) == (want.system, want.fragment)
+        for field in ("eigenvalues", "probabilities", "h_s", "h_f", "h_sf", "h_f_given_s",
+                      "branch_factors", "range_factors"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (frag, field)
+        assert np.array_equal(got.basis.basis, want.basis.basis), frag
 
 
 @pytest.mark.parametrize("make", [lambda: qd.make_ghz_reduced(10),

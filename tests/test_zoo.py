@@ -103,6 +103,22 @@ class TestGhz:
         rho = qd.make_ghz_reduced(4)
         assert np.allclose(qd.partial_trace(rho, ["S"]).matrix, np.eye(2) / 2)
 
+    def test_size_cap(self):
+        """N = 16 is the largest GHZ state under ``MAX_STATE_DIM``; N = 70 stops at
+        the layout, before its 2^71 x 2 factor is allocated."""
+        assert qd.make_ghz_reduced(16).dim == qd.zoo.MAX_STATE_DIM
+        with pytest.raises(errors.DimensionOutOfRange):
+            qd.make_ghz_reduced(70)
+
+
+def test_std_layout_caps_the_total_dimension():
+    """Every constructor of a state that grows with its subenvironment count takes
+    its layout from ``std_layout`` before it allocates."""
+    assert qd.std_layout(2, [2] * 16).total_dim == qd.zoo.MAX_STATE_DIM
+    for system_dim, env_dims in [(2, [2] * 17), (2, [4] * 9), (3, [4] * 70)]:
+        with pytest.raises(errors.DimensionOutOfRange):
+            qd.std_layout(system_dim, env_dims)
+
 
 class TestHorodecki:
     @pytest.mark.parametrize("p", [0.0, 1.0])

@@ -38,6 +38,8 @@ class TraceNotOne(QDarwinError, ValueError):
 class UnknownLabel(QDarwinError, KeyError):
     """A subsystem label is not present in the layout."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's quoted repr
+
 
 class DuplicateLabel(QDarwinError, ValueError):
     """Two tensor factors carry the same label."""

@@ -51,8 +51,19 @@ from .measures import (
 from .optimize import DEFAULT_OPT, OptimizerConfig
 
 
-def _in_borderline_band(diagnostic: float, tolerance: float) -> bool:
-    return tolerance / BORDERLINE_FACTOR <= diagnostic <= tolerance * BORDERLINE_FACTOR
+# a verdict's (value, tolerance) rows: it holds when every value is within its tolerance
+Rows = tuple[tuple[float, float], ...]
+
+
+def _within(rows: Rows) -> bool:
+    return all(value <= tolerance for value, tolerance in rows)
+
+
+def _near(rows: Rows) -> tuple[float, float] | None:
+    """The first row within ``BORDERLINE_FACTOR`` of its tolerance, on either side."""
+    return next(((value, tolerance) for value, tolerance in rows
+                 if tolerance / BORDERLINE_FACTOR <= value <= tolerance * BORDERLINE_FACTOR),
+                None)
 
 
 @dataclass(frozen=True)
@@ -75,15 +86,8 @@ class SqdVerdict:
     per_subfragment: tuple[SubfragmentCheck, ...]
     tolerance: float
     acc: AccessibleInfoBounds | None
+    rows: Rows  # |I - chi| and |chi - H(S)|, of the fragment and then of each subfragment
     trivial: bool = False
-
-    def deciding_diagnostics(self) -> tuple[float, ...]:
-        gaps = [abs(self.mutual_info - self.holevo),
-                abs(self.holevo - self.system_entropy)]
-        for sf in self.per_subfragment:
-            gaps.append(abs(sf.mutual_info - sf.holevo))
-            gaps.append(abs(sf.holevo - self.system_entropy))
-        return tuple(gaps)
 
     def to_dict(self) -> dict:
         return {
@@ -130,24 +134,21 @@ def _strong_darwinism(ens: PointerEnsemble,
 
     h_s = ens.h_s
     equality = opt.eps_opt
-    if h_s <= TOL_PROB:
-        return SqdVerdict(True, 0.0, 0.0, 0.0, 0.0, (), equality, None, trivial=True)
+    if h_s <= TOL_PROB:  # both gaps are zero
+        return SqdVerdict(True, 0.0, 0.0, 0.0, 0.0, (), equality, None,
+                          ((0.0, equality),) * 2, trivial=True)
 
-    def complete(e: PointerEnsemble) -> bool:
-        return (abs(e.mutual_information - e.holevo) <= equality
-                and abs(e.holevo - h_s) <= equality)
+    def gaps(e: PointerEnsemble) -> Rows:
+        return ((abs(e.mutual_information - e.holevo), equality),
+                (abs(e.holevo - h_s), equality))
 
     acc = ens.accessible_information(opt, optimize_acc_lower)
-    holds = complete(ens)
-    checks = []
     subs = subfragments and pointer_ensembles(ens.state, ens.system, subfragments, ens.basis)
-    for sf, sub in zip(subfragments, subs):
-        sf_holds = complete(sub)
-        holds = holds and sf_holds
-        checks.append(SubfragmentCheck(tuple(sf), sf_holds, sub.mutual_information,
-                                       sub.holevo))
-    return SqdVerdict(holds, ens.mutual_information, ens.holevo, h_s, ens.discord,
-                      tuple(checks), equality, acc)
+    checks = tuple(SubfragmentCheck(tuple(sf), _within(gaps(sub)), sub.mutual_information,
+                                    sub.holevo) for sf, sub in zip(subfragments, subs))
+    rows = gaps(ens) + sum(map(gaps, subs), ())
+    return SqdVerdict(_within(rows), ens.mutual_information, ens.holevo, h_s, ens.discord,
+                      checks, equality, acc, rows)
 
 
 @dataclass(frozen=True)
@@ -167,12 +168,7 @@ class SbsVerdict:
     cq_form_ok: bool
     distinguishable_per_subenv: bool
     product_ok: bool
-
-    def deciding_diagnostics(self) -> tuple[tuple[float, float], ...]:
-        return ((self.max_offdiagonal_block_norm, TOL_OFFDIAG),
-                (self.max_pairwise_overlap, TOL_OVERLAP),
-                (self.max_whole_fragment_overlap, TOL_OVERLAP),
-                (self.max_conditional_cmi, TOL_CMI))
+    rows: Rows  # the four max_ diagnostics above, in order, at their tolerances
 
     def to_dict(self) -> dict:
         return {
@@ -220,24 +216,21 @@ def _broadcast_structure(ens: PointerEnsemble,
     b, p = ens.range_factors, ens.probabilities
     max_offdiag = max(float(np.linalg.norm(b[i] @ b[j].conj().T))
                       for i, j in itertools.combinations(range(len(p)), 2))
-    cq_ok = max_offdiag <= TOL_OFFDIAG
-
     max_whole = _max_overlap(b, p)
     # a subenvironment's branch factors: its (S, E_k) factor rotated to the pointer basis
     max_sub = max(_max_overlap(_split(ens.basis, reduced_factor(ens.state, (ens.system, lab))), p)
                   for lab in ens.fragment)
-    whole_ok = max_whole <= TOL_OVERLAP
-    sub_ok = max_sub <= TOL_OVERLAP
-
     max_cmi = 0.0 if independence is None else independence.worst_cmi
-    product_ok = max_cmi <= TOL_CMI
 
-    bipartite = cq_ok and whole_ok
-    holds = cq_ok and sub_ok and product_ok
+    # the whole-fragment overlap decides only the bipartite form
+    rows = offdiag, sub, whole, cmi = ((max_offdiag, TOL_OFFDIAG), (max_sub, TOL_OVERLAP),
+                                       (max_whole, TOL_OVERLAP), (max_cmi, TOL_CMI))
+    bipartite = _within((offdiag, whole))
+    holds = _within((offdiag, sub, cmi))
     return SbsVerdict(holds, ens.basis, tuple(float(p) for p in ens.probabilities),
                       max_offdiag, max_sub, max_whole, max_cmi,
                       bipartite, bipartite and not holds, ens.gap < DEGENERACY_GAP,
-                      cq_ok, sub_ok, product_ok)
+                      _within((offdiag,)), _within((sub,)), _within((cmi,)), rows)
 
 
 @dataclass(frozen=True)
@@ -246,6 +239,7 @@ class IndependenceVerdict:
     worst_pair: tuple[str, str] | None
     worst_cmi: float
     tolerance: float
+    rows: Rows  # the worst CMI at the tolerance
 
     def to_dict(self) -> dict:
         return {"holds": self.holds,
@@ -277,7 +271,8 @@ def _independence(rho: DensityMatrix, system: str,
             for a, b in itertools.combinations(subenvs, 2)}
     worst = max(0.0, *cmis.values())
     worst_pair = next((pair for pair, cmi in cmis.items() if cmi >= worst - EPS_NUM), None)
-    return IndependenceVerdict(worst <= TOL_CMI, worst_pair, worst, TOL_CMI)
+    rows = ((worst, TOL_CMI),)
+    return IndependenceVerdict(_within(rows), worst_pair, worst, TOL_CMI, rows)
 
 
 def _verdicts(rho: DensityMatrix, system: str, fragment: tuple[str, ...],
@@ -323,27 +318,23 @@ def verify_equivalence(rho: DensityMatrix, system: str,
 
     Strong Darwinism is evaluated on the full fragment with every single
     subenvironment as a disjoint subfragment (the finest observer partition).
-    Verdicts whose deciding diagnostics sit within a factor of the tolerance,
-    or whose pointer basis is ambiguous, are flagged borderline.
+    Each verdict gives at most one borderline reason: its first (value,
+    tolerance) row within a factor ``BORDERLINE_FACTOR`` of its tolerance, on
+    either side.  The worst CMI is a row of both broadcast structure and strong
+    independence.  The pointer basis is borderline when its eigenvalue gap is
+    below ``DEGENERACY_GAP * BORDERLINE_FACTOR``.
     """
     frag = _fragment(rho, system, subenvironments)
     subfrags = [[l] for l in frag] if len(frag) > 1 else None
     ens, sqd, independence, sbs = _verdicts(rho, system, frag, subfrags, opt,
                                             optimize_acc_lower)
-    si_holds = independence.holds if independence is not None else True
-    consistent = sbs.holds == (sqd.holds and si_holds)
+    consistent = sbs.holds == (sqd.holds and (independence is None or independence.holds))
 
-    reasons: list[str] = []
-    for gap in sqd.deciding_diagnostics():
-        if _in_borderline_band(gap, sqd.tolerance):
-            reasons.append(f"strong-darwinism equality gap {gap:.3e}")
-            break
-    for diag, t in sbs.deciding_diagnostics():
-        if _in_borderline_band(diag, t):
-            reasons.append(f"broadcast-structure diagnostic {diag:.3e} near {t:.1e}")
-            break
-    if independence is not None and _in_borderline_band(independence.worst_cmi, TOL_CMI):
-        reasons.append(f"conditional mutual information {independence.worst_cmi:.3e}")
+    reasons = [text.format(*row) for text, verdict in (
+                   ("strong-darwinism equality gap {:.3e}", sqd),
+                   ("broadcast-structure diagnostic {:.3e} near {:.1e}", sbs),
+                   ("conditional mutual information {:.3e}", independence))
+               if verdict is not None and (row := _near(verdict.rows))]
     if ens.gap < DEGENERACY_GAP * BORDERLINE_FACTOR:
         reasons.append(f"pointer-basis eigenvalue gap {ens.gap:.3e}")
     return TheoremWitness(sqd, sbs, independence, consistent,

@@ -87,6 +87,34 @@ def _assert_close(a, b, path=""):
         assert a == b, path
 
 
+# the key sets of an analyze report and of one verify-theorem case
+SQD_KEYS = {"holds", "mutual_information_bits", "holevo_bits", "system_entropy_bits",
+            "discord_bits", "per_subfragment", "tolerance_bits", "trivial_zero_entropy",
+            "accessible_information"}
+SUBFRAGMENT_KEYS = {"labels", "holds", "mutual_information_bits", "holevo_bits"}
+SBS_KEYS = {"holds", "bipartite_holds", "bipartite_only", "pointer_basis",
+            "pointer_degenerate", "branch_probabilities", "max_offdiagonal_block_norm",
+            "max_pairwise_overlap", "max_whole_fragment_overlap", "max_conditional_cmi_bits",
+            "cq_form_ok", "distinguishable_per_subenv", "product_ok"}
+SI_KEYS = {"holds", "worst_pair", "worst_cmi_bits", "tolerance_bits"}
+ANALYZE_KEYS = {"system", "fragment", "strong_darwinism", "broadcast_structure",
+                "strong_independence", "m_sqd", "m_sqd_undefined_reason", "eta",
+                "accessible_information", "tolerances", "optimizer", "seed"}
+TOLERANCE_KEYS = {"offdiag", "overlap", "cmi_bits", "equality_bits", "borderline_factor"}
+THEOREM_CASE_KEYS = {"index", "family", "dims", "category", "consistent", "borderline",
+                     "borderline_reasons", "strong_darwinism", "broadcast_structure",
+                     "strong_independence"}
+
+
+def _assert_verdict_keys(payload):
+    assert set(payload["strong_darwinism"]) == SQD_KEYS
+    assert payload["strong_darwinism"]["per_subfragment"]
+    for entry in payload["strong_darwinism"]["per_subfragment"]:
+        assert set(entry) == SUBFRAGMENT_KEYS
+    assert set(payload["broadcast_structure"]) == SBS_KEYS
+    assert set(payload["strong_independence"]) == SI_KEYS
+
+
 # each command names a flag its subcommand does not take
 UNTAKEN_FLAGS = {
     "make-tol-opt": ["make", "ghz", "--n", "2", "--tol-opt", "1e-6"],
@@ -246,6 +274,29 @@ class TestAnalyze:
         assert payload["accessible_information"]["capped"] > 0
         assert payload["strong_darwinism"]["accessible_information"] \
             == payload["accessible_information"]
+
+    def test_report_keys(self, tmp_path):
+        st = tmp_path / "ghz.json"
+        run(["make", "ghz", "--n", "3", "-o", str(st)])
+        rep = tmp_path / "rep.json"
+        assert run(["analyze", str(st), "--subfragment", "E1", "--subfragment", "E2",
+                    "-o", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert set(payload) == ANALYZE_KEYS
+        assert set(payload["tolerances"]) == TOLERANCE_KEYS
+        _assert_verdict_keys(payload)
+
+    def test_unknown_label_message_is_unquoted(self, tmp_path, capsys):
+        st = tmp_path / "ghz3.json"
+        run(["make", "ghz", "--n", "3", "-o", str(st)])
+        capsys.readouterr()
+        assert run(["analyze", str(st), "--system", "E9"]) == 2
+        assert capsys.readouterr().err.startswith("error: label 'E9'")
+        alone = tmp_path / "system-only.json"
+        qd.save_state(qd.validate_density_matrix(np.eye(2) / 2, qd.std_layout(2, [])),
+                      str(alone))
+        assert run(["analyze", str(alone)]) == 2
+        assert capsys.readouterr().err == "error: empty label set\n"
 
     def test_reports_reproducible(self, tmp_path):
         st = tmp_path / "st.json"
@@ -465,6 +516,14 @@ class TestVerifyTheorem:
         assert payload["summary"]["fail"] == 0
         assert payload["summary"]["cases"] == 16
         assert len(payload["cases"]) == 16
+
+    def test_case_keys(self, tmp_path):
+        rep = tmp_path / "thm.json"
+        assert run(["verify-theorem", "--cases", "1", "--seed", "9",
+                    "--report", str(rep)]) == 0
+        (case,) = json.loads(rep.read_text())["cases"]
+        assert set(case) == THEOREM_CASE_KEYS
+        _assert_verdict_keys(case)
 
     def test_zero_cases_exits_2(self, tmp_path):
         assert run(["verify-theorem", "--cases", "0",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -202,6 +203,34 @@ class TestEquivalence:
         w = qd.verify_equivalence(rho, "S")
         assert w.borderline
 
+    @pytest.mark.parametrize("eps,categories,kinds", [
+        (1e-9, {"pass": 80, "borderline": 20}, {"broadcast-structure": 20, "conditional": 16}),
+        (1e-7, {"pass": 75, "borderline": 25},
+         {"strong-darwinism": 25, "broadcast-structure": 23}),
+    ], ids=["eps-1e-9", "eps-1e-7"])
+    def test_borderline_reasons_on_a_perturbed_batch(self, eps, categories, kinds):
+        """The first 100 seed-0 cases at a small perturbation: which verdicts sit
+        within the borderline band.  At 1e-9 the worst CMI is flagged as a
+        broadcast-structure row and again as the independence row; at 1e-7 the
+        equality gaps reach the strong-Darwinism band.  Counts measured with
+        numpy 2.4."""
+        found_categories, found_kinds = Counter(), Counter()
+        for _, _, rho in theorem_suite(0, 100, 32, eps):
+            w = qd.verify_equivalence(rho, "S")
+            found_categories["borderline" if w.borderline
+                             else "pass" if w.consistent else "fail"] += 1
+            found_kinds.update(reason.split()[0] for reason in w.borderline_reasons)
+        assert found_categories == categories
+        assert found_kinds == kinds
+
+    def test_borderline_band_is_closed_on_both_sides_of_the_tolerance(self):
+        rows = ((1e-12, 1e-8), (1e-7, 1e-8), (1e-9, 1e-8))
+        assert objectivity._near(rows) == (1e-7, 1e-8)
+        assert objectivity._near(rows[2:]) == (1e-9, 1e-8)
+        assert objectivity._near(((0.99e-9, 1e-8), (1.01e-7, 1e-8))) is None
+        assert objectivity._within(rows[::2]) and not objectivity._within(rows)
+        assert objectivity._within(())
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_degenerate_pointer_is_one_basis(self, seed):
         # rho_S = I/2: strong Darwinism and the broadcast detector read the one
@@ -229,8 +258,8 @@ class TestEquivalence:
 
     def test_whole_ghz_fragment_in_bounded_memory(self):
         """The R = 1 bracket of GHZ N = 8 reads its 256-dimensional fragment through
-        the accessible-information kernel in row chunks: with the whole d^3 projector
-        array at once, the peak was 265 MiB."""
+        the accessible-information kernel in blocks of V = rho U: with the whole d^3
+        projector array at once, the peak was 265 MiB."""
         rho = qd.make_ghz_reduced(8)
         tracemalloc.start()
         try:

@@ -100,13 +100,17 @@ class SubsystemLayout:
     def environment_labels(self) -> tuple[str, ...]:
         return tuple(l for l in self.labels if l != self.system)
 
+    @cached_property
+    def _axes(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def dim_of(self, label: str) -> int:
         return self.dims[self.index_of(label)]
 
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._axes[label]
+        except (KeyError, TypeError):
             raise UnknownLabel(f"label {label!r} not in layout {self.labels}") from None
 
     def require(self, labels: Iterable[str]) -> tuple[str, ...]:
@@ -114,12 +118,9 @@ class SubsystemLayout:
         wanted = list(labels)
         if not wanted:
             raise UnknownLabel("empty label set")
-        chosen = set(wanted)
-        if len(chosen) != len(wanted):
+        if len(set(wanted)) != len(wanted):
             raise DuplicateLabel(f"duplicate labels in {wanted}")
-        for lab in wanted:
-            self.index_of(lab)
-        return tuple(l for l in self.labels if l in chosen)
+        return tuple(self.labels[i] for i in sorted(map(self.index_of, wanted)))
 
     def subset(self, keep: Iterable[str], system: str | None = "auto") -> "SubsystemLayout":
         kept = self.require(keep)
@@ -339,20 +340,15 @@ def reduced_factor(rho: DensityMatrix, keep: Sequence[str]) -> np.ndarray:
             .reshape(math.prod(dims[i] for i in rows), -1))
 
 
-def gram_spectrum(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of W W^dagger, for W or each matrix of a stack, from the smaller
-    of W W^dagger and W^dagger W (the two share their nonzero eigenvalues)."""
-    w_h = w.conj().swapaxes(-1, -2)
-    return np.linalg.eigvalsh(w @ w_h if w.shape[-2] <= w.shape[-1] else w_h @ w)
-
-
 def reduced_spectrum(rho: DensityMatrix, keep: Iterable[str]) -> np.ndarray:
-    """Eigenvalues of the reduction to ``keep``, memoized per label subset on the state."""
+    """Eigenvalues of the reduction to ``keep``, memoized per label subset on the state:
+    those of the smaller of W W^dagger and W^dagger W for its factor W."""
     kept = rho.layout.require(keep)
-    spectra = rho._spectra
-    if kept not in spectra:
-        spectra[kept] = gram_spectrum(reduced_factor(rho, kept))
-    return spectra[kept]
+    if kept not in rho._spectra:
+        w = reduced_factor(rho, kept)
+        rho._spectra[kept] = np.linalg.eigvalsh(w @ w.conj().T if w.shape[0] <= w.shape[1]
+                                                else w.conj().T @ w)
+    return rho._spectra[kept]
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -415,10 +411,10 @@ def save_state(rho: DensityMatrix, path_or_file: str | IO[str]) -> None:
     written otherwise), each as nested [re, im] pairs of repr-exact floats."""
     payload = rho.to_dict()
     if hasattr(path_or_file, "write"):
-        json.dump(payload, path_or_file)
+        path_or_file.write(json.dumps(payload))
     else:
         with open(path_or_file, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
 
 
 def load_state(path_or_file: str | IO[str]) -> DensityMatrix:

@@ -62,6 +62,10 @@ class DegenerateSystemEntropy(QDarwinError, ValueError):
     """Objectivity deficit is undefined for a system with (near-)zero entropy."""
 
 
+class InvalidConfig(QDarwinError, ValueError):
+    """An optimizer setting is out of range: a tolerance, a count or a grid size."""
+
+
 class OptimizerDidNotConverge(QDarwinError, RuntimeError):
     """Best and second-best restarts disagree by more than the tolerance."""
 

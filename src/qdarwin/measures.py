@@ -2,17 +2,17 @@
 
 Strong Darwinism and broadcast structure are statements about one object, the
 pointer ensemble {p_i, rho_F|i} of a system S and a fragment F.  One kernel,
-:func:`pointer_ensembles`, builds it for many fragments at one pointer basis
-from the factors W of their (S, F) reductions: fragments of one dimension go
-in stacks of at most ``STACK_BYTES``, one rotation splits a stack into branch
-factors W_i = (<i| x 1) W with p_i = |W_i|_F^2, and batched Gram spectra give
-the conditionals, H(F) and H(SF), the latter two through the state's memo;
-rho_S is read from the first factor.  The budget bounds the branch and Gram
-copies a stack adds to the factors.  The other diagnostics read the branches in
-the range of rho_F, B_i = Q^dagger W_i with at most min(d_f, d_s c) rows for c
-columns of W: the pointer blocks B_i B_j^dagger, the overlaps and fidelities of
-B_i^dagger B_j, and the accessible-information bracket.  Only the subenvironment
-overlaps and the optimized lower bound read all d_f dimensions of the fragment.
+:func:`pointer_ensembles`, builds it for many fragments at one pointer basis: one
+rotation of the state's factor per call makes the branch factors W_i = (<i| x 1) W
+of each (S, F) factor W, with c columns, a transpose of it, and fragments of one
+dimension go in stacks of at most ``STACK_BYTES`` with one Gram product each, of
+size d_s min(d_f, c).  Its spectrum is that of rho_SF (d_f <= c) or of rho_F, the
+sum of its d_s diagonal blocks gives the other (both go to the state's memo), and
+the blocks give p_i and the conditionals.  The other diagnostics read the branches
+in the range of rho_F, B_i = Q^dagger W_i with at most min(d_f, d_s c) rows: the
+pointer blocks B_i B_j^dagger, the overlaps and fidelities of B_i^dagger B_j, and
+the accessible-information bracket.  Only the subenvironment overlaps and the
+optimized lower bound read all d_f dimensions of the fragment.
 
 One rule chooses the basis, :func:`pointer_basis` (rho, system, fragment=None): the
 canonical eigenbasis of rho_S, any degenerate cluster refined against the probes of
@@ -44,7 +44,6 @@ from .core import (
     ProjectiveMeasurement,
     canonical_phases,
     eig_hermitian,
-    gram_spectrum,
     partial_trace,
     reduced_factor,
     reduced_spectrum,
@@ -236,7 +235,7 @@ class PointerEnsemble:
 
     @cached_property
     def branch_factors(self) -> np.ndarray:
-        return _split(self.basis, reduced_factor(self.state, (self.system, *self.fragment)))
+        return next(_branches(self.state, self.system, self.basis, [self.fragment]))
 
     @cached_property
     def range_factors(self) -> np.ndarray:
@@ -315,18 +314,17 @@ def pointer_ensemble(rho: DensityMatrix, system: str, fragment: Sequence[str],
                              basis or pointer_basis(rho, system, fragment))[0]
 
 
-# Bytes of (S, F) factors in one stack of :func:`pointer_ensembles`.  Each has
-# the state's d r entries, and its branch and Gram copies come on top: unbounded
-# stacks took the fragment_scan benchmark's peak RSS from 41.9 to 44.4 MB.
+# Bytes of (S, F) factors, d r entries each, in one stack of :func:`pointer_ensembles`;
+# a branch copy and one Gram product of at most d_s times as many entries come on top.
+# Unbounded stacks took the fragment_scan benchmark's peak RSS from 41.9 to 44.4 MB.
 STACK_BYTES = 128 * 1024
 
 
 def pointer_ensembles(rho: DensityMatrix, system: str,
                       fragments: Sequence[Sequence[str]],
                       basis: ProjectiveMeasurement) -> list[PointerEnsemble]:
-    """One :class:`PointerEnsemble` per fragment, in order, all at ``basis``: per
-    stack one rotation, and one batched eigvalsh of the smaller Gram side for the
-    conditionals, for rho_F and for rho_SF (see the module docstring)."""
+    """One :class:`PointerEnsemble` per fragment, in order, all at ``basis``: one rotation
+    per call, then one batched Gram product per stack (see the module docstring)."""
     frags = [rho.layout.require(f) for f in fragments]
     for frag in frags:
         _disjoint([system], frag)
@@ -337,51 +335,49 @@ def pointer_ensembles(rho: DensityMatrix, system: str,
     groups: dict[int, list[int]] = {}
     for k, frag in enumerate(frags):
         groups.setdefault(math.prod(map(rho.layout.dim_of, frag)), []).append(k)
-    per_stack = max(1, STACK_BYTES // rho.factor.nbytes)
-    out, h_s = {}, None
+    branches = _branches(rho, system, basis, [frags[k] for ks in groups.values() for k in ks])
+    per_stack, out = max(1, STACK_BYTES // rho.factor.nbytes), {}
     for d_f, members in groups.items():
+        c = rho.factor.size // (d_s * d_f)
+        m = min(d_f, c)
         for chunk in (members[i:i + per_stack] for i in range(0, len(members), per_stack)):
-            w = np.empty((len(chunk), d_s * d_f, rho.factor.size // (d_s * d_f)), dtype=complex)
+            b = np.empty((len(chunk), d_s, d_f, c), dtype=complex)
             for j, k in enumerate(chunk):
-                w[j] = reduced_factor(rho, (system, *frags[k]))
-            if h_s is None:  # any (S, F) factor is a factor of rho_S
-                rho_s = w[0].reshape(d_s, -1) @ w[0].reshape(d_s, -1).conj().T
-                eigenvalues = np.linalg.eigvalsh((rho_s + rho_s.conj().T) / 2.0)[::-1]
+                b[j] = next(branches)
+            # Y Y^dagger for Y = [B_i] or [B_i^dagger]: rho_SF in the pointer basis, or
+            # the Gram [B_i^dagger B_j] of rho_F's factor [B_1 ... B_{d_s}]
+            y = (b if d_f <= c else b.conj().swapaxes(2, 3)).reshape(len(chunk), d_s * m, -1)
+            gram = (y @ y.conj().swapaxes(1, 2)).reshape(len(chunk), d_s, m, d_s, m)
+            if not out:  # rho_S, or its transpose, is a partial trace of any Gram
+                eigenvalues = np.linalg.eigvalsh(np.einsum("ixjx->ij", gram[0]))[::-1]
                 h_s = float(_spectrum_entropy(eigenvalues))
-            h_sf = _memo_entropies(rho, [rho.layout.require((system, *frags[k])) for k in chunk],
-                                   w, d_s * d_f)
-            h_f = _memo_entropies(rho, [frags[k] for k in chunk],
-                                  w.reshape(len(w), d_s, d_f, -1).transpose(0, 2, 1, 3), d_f)
-            branches = _split(basis, w)
-            probs = np.einsum("nifc,nifc->ni", branches.conj(), branches).real
+            blocks = np.einsum("nixiy->nixy", gram)  # p_i rho_F|i, or its c x c partner
+            spectra = (np.linalg.eigvalsh(gram.reshape(len(chunk), d_s * m, -1)),
+                       np.linalg.eigvalsh(blocks.sum(axis=1)))[::1 if d_f <= c else -1]
+            probs = np.einsum("nixx->ni", blocks).real
             live = probs > TOL_PROB
-            cond = _spectrum_entropy(gram_spectrum(branches)
+            cond = _spectrum_entropy(np.linalg.eigvalsh(blocks)
                                      / np.where(live, probs, 1.0)[..., None])
             h_f_given_s = np.where(live, probs * cond, 0.0).sum(axis=1)
-            out.update((k, PointerEnsemble(system, frags[k], rho, eigenvalues, basis, probs[j],
-                                           h_s, float(h_f[j]), float(h_sf[j]),
-                                           float(h_f_given_s[j])))
-                       for j, k in enumerate(chunk))
+            h_sf, h_f = map(_spectrum_entropy, spectra)  # of rho_SF and rho_F
+            for j, k in enumerate(chunk):  # the memo keeps a subset's first spectrum
+                rho._spectra.setdefault(rho.layout.require((system, *frags[k])), spectra[0][j])
+                rho._spectra.setdefault(frags[k], spectra[1][j])
+                out[k] = PointerEnsemble(system, frags[k], rho, eigenvalues, basis, probs[j], h_s,
+                                         float(h_f[j]), float(h_sf[j]), float(h_f_given_s[j]))
     return [out[k] for k in range(len(frags))]
 
 
-def _split(basis: ProjectiveMeasurement, w: np.ndarray) -> np.ndarray:
-    """The branch factors (<i| x 1) W of an (S, F) factor, or of each of a stack of them,
-    as (..., d_s, d_f, c)."""
-    n, d_s, c = w.shape[:-2], basis.basis.shape[0], w.shape[-1]
-    return (basis.basis.conj().T @ w.reshape(*n, d_s, -1)).reshape(*n, d_s, -1, c)
-
-
-def _memo_entropies(rho: DensityMatrix, keys: list[tuple[str, ...]],
-                    factors: np.ndarray, rows: int) -> np.ndarray:
-    """Entropies of the reductions to ``keys`` (label tuples in layout order) of
-    dimension ``rows``, key j's factor ``factors[j]``, through the state's memo."""
-    missing = [j for j, key in enumerate(keys) if key not in rho._spectra]
-    if missing:
-        part = factors if len(missing) == len(keys) else factors[missing]
-        for j, spectrum in zip(missing, gram_spectrum(part.reshape(len(missing), rows, -1))):
-            rho._spectra[keys[j]] = spectrum
-    return _spectrum_entropy(np.stack([rho._spectra[key] for key in keys]))
+def _branches(rho: DensityMatrix, system: str, basis: ProjectiveMeasurement,
+              fragments: Iterable[Sequence[str]]) -> Iterator[np.ndarray]:
+    """The branch factors (<i| x 1) W, (d_s, d_f, c), of the (S, F) factor W of each
+    fragment in turn: transposes of one rotation (U^dagger x 1) V of the state's factor."""
+    k = rho.layout.index_of(system)
+    v = rho.factor.reshape(math.prod(rho.layout.dims[:k]), rho.layout.dims[k], -1)
+    rotated = DensityMatrix((basis.basis.conj().T @ v).reshape(rho.factor.shape), rho.layout)
+    for frag in fragments:
+        w = reduced_factor(rotated, (system, *frag))
+        yield w.reshape(rho.layout.dims[k], -1, w.shape[1])
 
 
 def holevo_quantity(rho: DensityMatrix, system: str,

@@ -27,7 +27,6 @@ from .core import (
     TOL_PROB,
     DensityMatrix,
     ProjectiveMeasurement,
-    reduced_factor,
 )
 from .errors import (
     DegenerateSystemEntropy,
@@ -38,10 +37,10 @@ from .errors import (
 from .measures import (
     AccessibleInfoBounds,
     PointerEnsemble,
+    _branches,
     _conditionals,
     _disjoint,
     _fragment,
-    _split,
     conditional_mutual_information,
     entropy_bits,
     pointer_basis,
@@ -217,9 +216,8 @@ def _broadcast_structure(ens: PointerEnsemble,
     max_offdiag = max(float(np.linalg.norm(b[i] @ b[j].conj().T))
                       for i, j in itertools.combinations(range(len(p)), 2))
     max_whole = _max_overlap(b, p)
-    # a subenvironment's branch factors: its (S, E_k) factor rotated to the pointer basis
-    max_sub = max(_max_overlap(_split(ens.basis, reduced_factor(ens.state, (ens.system, lab))), p)
-                  for lab in ens.fragment)
+    max_sub = max(_max_overlap(w, p) for w in _branches(ens.state, ens.system, ens.basis,
+                                                         [[lab] for lab in ens.fragment]))
     max_cmi = 0.0 if independence is None else independence.worst_cmi
 
     # the whole-fragment overlap decides only the bipartite form

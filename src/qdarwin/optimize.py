@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import EPS_OPT, GRAD_FLOOR, _freeze
-from .errors import OptimizerDidNotConverge
+from .errors import InvalidConfig, OptimizerDidNotConverge
 
 ARMIJO = 1e-4   # share of the first-order gain a step must realize
 MEMORY = 10     # a step must beat the lowest of a restart's last MEMORY values
@@ -41,6 +41,12 @@ class OptimizerConfig:
     seed: int = 0
     eps_opt: float = EPS_OPT
     strict_convergence: bool = True
+
+    def __post_init__(self):
+        if not (0.0 < self.eps_opt < np.inf and self.restarts >= 1 and self.max_refine_iter >= 0
+                and min(self.theta_points, self.phi_points) >= 2):
+            raise InvalidConfig("need a finite eps_opt > 0, restarts >= 1, max_refine_iter >= 0 "
+                                f"and grid sizes >= 2, got {self}")
 
 
 DEFAULT_OPT = OptimizerConfig()

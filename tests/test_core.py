@@ -307,6 +307,23 @@ class TestStateFile:
         assert np.array_equal(back.matrix, rho.matrix)
         assert back.layout == rho.layout
 
+    @pytest.mark.parametrize("make, key", [
+        (lambda: qd.make_ghz_reduced(6), "factor"),
+        (lambda: qd.make_random_density(2, qd.std_layout(2, [3])), "matrix"),
+    ], ids=["factor", "matrix"])
+    def test_file_is_the_json_module_encoding_to_the_byte(self, tmp_path, make, key):
+        """save_state writes what json.dump writes, to a path and to an open file."""
+        rho = make()
+        want = io.StringIO()
+        json.dump(rho.to_dict(), want)
+        assert key in json.loads(want.getvalue())
+        path = tmp_path / "state.json"
+        qd.save_state(rho, str(path))
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+        buf = io.StringIO()
+        qd.save_state(rho, buf)
+        assert buf.getvalue() == want.getvalue()
+
     def test_format_shape(self):
         full_rank = qd.validate_density_matrix(np.diag([0.5, 0.25, 0.125, 0.125]),
                                                qd.std_layout(2, [2]))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from functools import partial
 
@@ -276,6 +277,24 @@ class TestAscentOracles:
             assert acc.lower_optimized
             floor = oracles.classical_mi_grid_max(probs, list(conds))
             assert floor - 1e-6 <= acc.lower <= ens.holevo + eps_opt
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("eps_opt", -1.0), ("eps_opt", math.nan), ("eps_opt", 0.0), ("eps_opt", math.inf),
+        ("restarts", 0), ("max_refine_iter", -1), ("theta_points", 1), ("phi_points", 1),
+    ])
+    def test_out_of_range_settings_raise(self, field, value):
+        """A negative or NaN eps_opt would read strong Darwinism as failing on
+        states where the theorem holds; the config refuses it."""
+        with pytest.raises(errors.InvalidConfig) as exc:
+            OptimizerConfig(**{field: value})
+        assert isinstance(exc.value, errors.QDarwinError)
+
+    def test_smallest_settings_in_range_are_accepted(self):
+        config = OptimizerConfig(theta_points=2, phi_points=2, restarts=1, max_refine_iter=0,
+                                 eps_opt=1e-12)
+        assert qd.verify_equivalence(qd.make_ghz_reduced(2), "S", opt=config).consistent
 
 
 class TestConvergenceRule:

@@ -235,6 +235,10 @@ KERNEL_STATES = {
     "degenerate-rho-s": lambda: qd.make_cq_state(3, [0.5, 0.5], 0.4, 3),
     "zero-branch": zero_branch_state,
     "system-in-middle": system_in_middle,
+    # c = 16 / d_f columns: d_f = 2 takes the rho_SF side of the Gram, d_f = 4 too but
+    # inside the band d_f <= c < d_s d_f, and d_f = 8 the rho_F side (see gram_side)
+    "system-last": lambda: qd.make_random_density(
+        9, qd.SubsystemLayout.of(("E1", 2), ("E2", 2), ("E3", 2), ("S", 3), system="S"), rank=2),
 }
 
 
@@ -272,6 +276,42 @@ def test_stacked_kernel_matches_dense_oracle(name):
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, frag
     if name == "zero-branch":
         assert min(ensembles[0].probabilities) < 1e-20
+
+
+def gram_side(rho, fragment):
+    """Which side of the kernel's Gram product a fragment takes: "sf" when d_f <= c,
+    "band" when moreover c < d_s d_f, "f" when d_f > c."""
+    d_s = rho.layout.dim_of(rho.layout.system)
+    d_f = int(np.prod([rho.layout.dim_of(l) for l in fragment]))
+    c = rho.factor.size // (d_s * d_f)
+    return "f" if d_f > c else "band" if c < d_s * d_f else "sf"
+
+
+def test_system_last_state_takes_every_gram_side():
+    rho = KERNEL_STATES["system-last"]()
+    assert rho.layout.labels[-1] == rho.layout.system
+    sides = {len(f): gram_side(rho, f) for f in subsets(rho.layout.environment_labels)}
+    assert sides == {1: "sf", 2: "band", 3: "f"}
+
+
+@pytest.mark.parametrize("name", ["system-last", "dims-2x[2,3,2,4]", "ghz-10"])
+def test_kernel_writes_its_spectra_to_the_memo(name):
+    """After one pointer_ensembles call the state's memo holds each fragment's (S, F)
+    and F spectra, so reduced_spectrum (strong independence's H(S E_j)) reads the
+    kernel's spectra without a Gram of its own, and they give the ensemble's entropies."""
+    rho = KERNEL_STATES[name]()
+    system, env = rho.layout.system, rho.layout.environment_labels
+    frags = [c for k in (1, 2, len(env)) for c in itertools.combinations(env, k)]
+    assert {gram_side(rho, f) for f in frags} >= {"sf", "f"}
+    keys = [(rho.layout.require((system, *f)), f) for f in frags]
+    assert not any(key in rho._spectra for pair in keys for key in pair)
+    ensembles = qd.measures.pointer_ensembles(rho, system, frags, qd.pointer_basis(rho, system))
+    for (key_sf, key_f), ens in zip(keys, ensembles):
+        for key, h in ((key_sf, ens.h_sf), (key_f, ens.h_f)):
+            memo = rho._spectra[key]
+            assert reduced_spectrum(rho, key) is memo
+            assert qd.measures._spectrum_entropy(memo) == pytest.approx(h, abs=1e-14)
+    assert set(rho._spectra) == {key for pair in keys for key in pair}
 
 
 class TestFactor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import zoo
 from .core import (EPS_NUM, EPS_OPT, DensityMatrix, ProjectiveMeasurement, SubsystemLayout,
-                   eig_hermitian, load_state, partial_trace, save_state)
+                   load_state, save_state)
 from .errors import OptimizerDidNotConverge, QDarwinError
 from .measures import pointer_ensemble
 from .objectivity import analyze, objectivity_deficit, redundancy, verify_equivalence
@@ -269,11 +269,11 @@ def cmd_appendix_c(args) -> int:
     lines = ["p,H_S,I,chi_bits,chi_closed_form,discord,m_sqd"]
     worst_chi = (0.0, None)
     worst_mi = (0.0, None)
+    # the closed form is chi at sigma_z, rho_S's eigenbasis, also at the degenerate p = 0.5
+    sigma_z = ProjectiveMeasurement.computational("S", 2)
     for p in ps:
         rho = zoo.make_horodecki(float(p))
-        # the closed form is chi at sigma_z, also at the degenerate p = 0.5
-        _, kets = eig_hermitian(partial_trace(rho, ["S"]).matrix)
-        ens = pointer_ensemble(rho, "S", ["E1"], ProjectiveMeasurement("S", kets))
+        ens = pointer_ensemble(rho, "S", ["E1"], sigma_z)
         h_s, mi, chi = ens.h_s, ens.mutual_information, ens.holevo
         closed = zoo.horodecki_holevo_closed_form(float(p))
         m = objectivity_deficit(rho, "S", ["E1"], ens.basis)

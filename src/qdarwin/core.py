@@ -45,7 +45,6 @@ TOL_TRACE = 1e-9       # |tr rho - 1|, |norm - 1| and the sum-to-one of distribu
 TOL_PSD = 1e-9         # most negative eigenvalue of a valid state
 TOL_PROB = 1e-12       # branch probability, or H(S) in bits, treated as zero
 DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one degenerate cluster
-RANK_FLOOR = 1e-7      # Gram-Schmidt residual below which a projector column is dependent
 TAU_COMM = 1e-9        # Frobenius norm of [rho_i, rho_j] below which conditionals commute
 EPS_NUM = 1e-9         # negative chi or CMI from rounding clamps to 0; appendix-c --tol-num
 EPS_OPT = 1e-6         # optimizer restart gap and strong-Darwinism equality, bits (--tol-opt)
@@ -271,30 +270,15 @@ def validate_factor(factor: np.ndarray, layout: SubsystemLayout) -> DensityMatri
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending-eigenvalue Hermitian eigendecomposition with deterministic output.
-
-    Within each degenerate cluster (gap below ``DEGENERACY_GAP``) the returned
-    eigenvectors are rebuilt by Gram-Schmidt over the cluster projector's
-    columns in index order, so the basis depends only on the spanned subspace.
-    Every vector's largest-magnitude component is made real and positive.
-    """
+    """Descending-eigenvalue Hermitian eigendecomposition, each vector's largest-magnitude
+    component made real and positive.  Inside a degenerate cluster the vectors are LAPACK's;
+    the pointer basis and the unoptimized accessible-information bound refine it."""
     m = _check_matrix(matrix)
     herm_err = float(np.max(np.abs(m - m.conj().T)))
     if herm_err > TOL_HERM:
         raise NotHermitian(f"Hermiticity violation {herm_err:.3e} exceeds {TOL_HERM:.1e}")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    n = len(w)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[start] - w[stop] < DEGENERACY_GAP:
-            stop += 1
-        if stop - start > 1:
-            v[:, start:stop] = _canonical_subspace_basis(v[:, start:stop])
-        start = stop
-    return w, canonical_phases(v)
+    return w[::-1].copy(), canonical_phases(v[:, ::-1].copy())
 
 
 def canonical_phases(vecs: np.ndarray) -> np.ndarray:
@@ -305,26 +289,6 @@ def canonical_phases(vecs: np.ndarray) -> np.ndarray:
         pivot = int(np.argmax(np.abs(col)))
         vecs[:, k] = col / (col[pivot] / abs(col[pivot]))
     return vecs
-
-
-def _canonical_subspace_basis(vecs: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(vecs) determined by the subspace alone."""
-    proj = vecs @ vecs.conj().T
-    n, k = vecs.shape
-    cols: list[np.ndarray] = []
-    for j in range(n):
-        c = proj[:, j].copy()
-        for prev in cols:
-            c -= prev * (prev.conj() @ c)
-        norm = float(np.linalg.norm(c))
-        if norm > RANK_FLOOR:
-            cols.append(c / norm)
-        if len(cols) == k:
-            break
-    if len(cols) != k:
-        # fall back to the input basis; happens only for ill-conditioned projectors
-        return vecs
-    return np.stack(cols, axis=1)
 
 
 def reduced_factor(rho: DensityMatrix, keep: Sequence[str]) -> np.ndarray:

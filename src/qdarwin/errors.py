@@ -63,7 +63,7 @@ class DegenerateSystemEntropy(QDarwinError, ValueError):
 
 
 class InvalidConfig(QDarwinError, ValueError):
-    """An optimizer setting is out of range: a tolerance, a count or a grid size."""
+    """A setting is out of range: an optimizer tolerance, count or grid, or a scan option."""
 
 
 class OptimizerDidNotConverge(QDarwinError, RuntimeError):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -168,21 +168,30 @@ def pointer_basis(rho: DensityMatrix, system: str,
     frag = _fragment(rho, system, fragment)
     _disjoint([system], frag)
     rho_s = partial_trace(rho, [system]).matrix
-    eigenvalues, vecs = eig_hermitian(rho_s)
-    if np.any(eigenvalues[:-1] - eigenvalues[1:] < DEGENERACY_GAP):
-        w = reduced_factor(rho, (system, *frag))
-        vecs = canonical_phases(common_eigenbasis(_probe_stacks(rho_s, w)))
+    vecs = _refined_eigenbasis(rho_s, _probe_stacks(rho, system, frag))
     return ProjectiveMeasurement(system, vecs)
 
 
-def _probe_stacks(rho_s: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
-    """-rho_S, which orders the clusters by descending rho_S, then one stack per
-    fragment row m: the Hermitian and anti-Hermitian parts of the probes
-    (1 x <m|) rho_SF (1 x |k>) = A_m A_k^dagger, k >= m, A_m the (S, m) slice of ``w``.
-    A row whose probes all have eigenvalue spread at most
-    4 |A_m|_F max_k |A_k|_F < ``DEGENERACY_GAP`` cannot split a cluster and is skipped."""
-    d_s = rho_s.shape[0]
-    yield -rho_s[None]
+def _refined_eigenbasis(m: np.ndarray, probes: Iterable[np.ndarray]) -> np.ndarray:
+    """The one rule for a basis inside a degenerate cluster: the canonical eigenbasis of
+    ``m``, and when two eigenvalues are closer than ``DEGENERACY_GAP``, the common
+    eigenbasis of -m, which orders the clusters by descending m, then of the (n, d, d)
+    ``probes`` stacks, read only then and only until every cluster is one vector."""
+    eigenvalues, vecs = eig_hermitian(m)
+    if np.any(eigenvalues[:-1] - eigenvalues[1:] < DEGENERACY_GAP):
+        vecs = canonical_phases(common_eigenbasis(chain([-m[None]], probes)))
+    return vecs
+
+
+def _probe_stacks(rho: DensityMatrix, system: str,
+                  fragment: tuple[str, ...]) -> Iterator[np.ndarray]:
+    """One stack per fragment row m: the Hermitian and anti-Hermitian parts of the probes
+    (1 x <m|) rho_SF (1 x |k>) = A_m A_k^dagger, k >= m, A_m the (S, m) slice of the
+    (S, F) factor, formed at the first read.  A row whose probes all have eigenvalue
+    spread at most 4 |A_m|_F max_k |A_k|_F < ``DEGENERACY_GAP`` cannot split a cluster
+    and is skipped."""
+    d_s = rho.layout.dim_of(system)
+    w = reduced_factor(rho, (system, *fragment))
     a = w.reshape(d_s, -1, w.shape[1]).transpose(1, 0, 2)  # A_m as [m, s, c]
     norms = np.linalg.norm(a, axis=(1, 2))
     tail = np.maximum.accumulate(norms[::-1])[::-1]  # max over k >= m of |A_k|_F
@@ -285,8 +294,9 @@ class PointerEnsemble:
         commute pairwise (Frobenius norm below ``TAU_COMM``) the
         common-eigenbasis measurement achieves it and the bracket is exact.
         Otherwise the lower bound is the best classical mutual information over
-        projective fragment measurements (the eigenbasis of rho_F when
-        ``optimize_lower`` is off, e.g. inside large batch runs).  All but the optimized
+        projective fragment measurements (when ``optimize_lower`` is off, e.g. inside
+        large batch runs, the eigenbasis of rho_F with its degenerate clusters refined
+        against the conditionals, :func:`_refined_eigenbasis`).  All but the optimized
         bound read the range of rho_F; a search on all of the fragment can find more.
         """
         chi = self.holevo
@@ -296,8 +306,8 @@ class PointerEnsemble:
             lower = classical_mutual_information(ps, cs, common_eigenbasis([cs]))
             return AccessibleInfoBounds(lower, chi, True, False)
         if not optimize_lower:
-            _, vecs = eig_hermitian(sum(b @ b.conj().T for b in self.range_factors))
-            lower = classical_mutual_information(ps, cs, vecs)
+            rho_f = sum(b @ b.conj().T for b in self.range_factors)
+            lower = classical_mutual_information(ps, cs, _refined_eigenbasis(rho_f, [cs]))
             return AccessibleInfoBounds(lower, chi, False, False)
         cs = _conditionals(self.branch_factors, self.probabilities)
         result = maximize_over_bases(partial(_classical_mi, ps, cs), len(cs[0]), opt)

@@ -31,6 +31,7 @@ from .core import (
 from .errors import (
     DegenerateSystemEntropy,
     DeltaOutOfRange,
+    InvalidConfig,
     NeedTwoSubenvironments,
     OverlappingParts,
 )
@@ -484,7 +485,9 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
     if strategy is None:
         strategy = "exhaustive" if len(subenvs) <= 12 else "greedy"
     if strategy not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise InvalidConfig(f"unknown strategy {strategy!r}")
+    if scan_samples < 1:
+        raise InvalidConfig(f"scan_samples must be >= 1, got {scan_samples}")
 
     # one pointer basis, refined against every other factor, serves every
     # fragment; the whole environment's ensemble gives its distribution

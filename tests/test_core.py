@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdarwin as qd
-from qdarwin import errors
+from qdarwin import core, errors
 from qdarwin.zoo import horodecki_p_tilde
 
 import oracles
@@ -164,10 +166,6 @@ class TestEigHermitian:
         with pytest.raises(errors.NotHermitian):
             qd.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_degenerate_identity_gives_computational_basis(self):
-        w, v = qd.eig_hermitian(np.eye(4, dtype=complex) / 4)
-        assert np.allclose(v, np.eye(4), atol=1e-12)
-
     def test_deterministic_on_repeated_calls(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -185,6 +183,19 @@ class TestEigHermitian:
         m = (m + m.conj().T) / 2
         w, v = qd.eig_hermitian(m)
         assert np.linalg.norm(m - (v * w) @ v.conj().T) <= 1e-10 * max(1.0, np.abs(w).max())
+
+
+def test_readme_tolerance_table_lists_every_threshold_of_core():
+    """The README's Tolerances table names exactly the numeric constants of
+    ``qdarwin.core``, each with its value to the digits printed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, re.M))
+    constants = {k: v for k, v in vars(core).items()
+                 if k.isupper() and isinstance(v, (int, float))}
+    assert rows.keys() == constants.keys()
+    for name, value in constants.items():
+        assert float(rows[name]) == pytest.approx(value, rel=0.05), name
 
 
 class TestMeasureSubsystem:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import qdarwin as qd
 from qdarwin import errors
-from qdarwin.core import reduced_factor
-from qdarwin.measures import _probe_stacks, classical_mutual_information, common_eigenbasis
+from qdarwin.measures import (_probe_stacks, _refined_eigenbasis, classical_mutual_information,
+                              common_eigenbasis)
 from qdarwin.zoo import haar_random_unitary, horodecki_holevo_closed_form
 
 import oracles
@@ -371,10 +371,33 @@ class TestHelpers:
         factor = np.zeros((2 ** (n + 1), 2), dtype=complex)
         factor[0, 0] = factor[2 ** n, 1] = np.sqrt(0.5)
         rho = qd.validate_factor(factor, qd.std_layout(2, [2] * n))
-        w = reduced_factor(rho, rho.layout.labels)
-        rho_s = qd.partial_trace(rho, ["S"]).matrix
-        assert len(list(_probe_stacks(rho_s, w))) == 2
+        assert len(list(_probe_stacks(rho, "S", rho.layout.environment_labels))) == 1
         assert np.allclose(qd.pointer_basis(rho, "S").basis, np.eye(2), atol=1e-12)
+
+    def test_degenerate_cluster_that_nothing_splits_keeps_the_computational_basis(self):
+        assert np.allclose(_refined_eigenbasis(np.eye(4, dtype=complex) / 4, []), np.eye(4),
+                           atol=1e-12)
+        # I/4 x rho_E: every probe is a multiple of the identity on S
+        env = qd.validate_density_matrix(
+            np.diag([0.4, 0.6]), qd.SubsystemLayout.of(("E1", 2), system=None))
+        rho = qd.tensor([qd.validate_density_matrix(
+            np.eye(4) / 4, qd.SubsystemLayout.of(("S", 4), system="S")), env])
+        assert np.allclose(qd.pointer_basis(rho, "S").basis, np.eye(4), atol=1e-12)
+
+    def test_unoptimized_lower_bound_of_the_trine_is_covariant(self):
+        """The trine cq state sum_i |i><i| x |phi_i><phi_i| / 3 has rho_F = I/2: the
+        bracket refines that cluster against the conditionals, so it measures in the
+        eigenbasis of one trine projector, 1 - (2/3) h(1/4) bits, in any frame of E1."""
+        f = np.zeros((3, 2, 3), dtype=complex)
+        for i in range(3):
+            f[i, :, i] = [np.cos(2 * np.pi * i / 3), np.sin(2 * np.pi * i / 3)]
+        h = -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75))
+        for seed in range(5):
+            u = haar_random_unitary(np.random.default_rng(seed), 2) if seed else np.eye(2)
+            v = np.einsum("ab,sbc->sac", u, f).reshape(6, 3) / np.sqrt(3)
+            acc = qd.verify_equivalence(qd.validate_factor(v, qd.std_layout(3, [2])), "S").sqd.acc
+            assert not acc.exact and not acc.lower_optimized
+            assert acc.lower == pytest.approx(1.0 - 2.0 / 3.0 * h, abs=1e-12)
 
     def test_classical_mi_perfectly_distinguishable(self):
         probs = np.array([0.5, 0.5])

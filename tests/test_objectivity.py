@@ -527,6 +527,16 @@ class TestRedundancy:
         assert rep.f_delta_min == len(found[0]) / len(env)
         assert abs(rep.pointer_entropy - h_pointer) <= 1e-12
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_scan_samples_below_one_are_invalid(self, samples):
+        with pytest.raises(errors.InvalidConfig, match="scan_samples"):
+            qd.redundancy(qd.make_ghz_reduced(3), "S", 0.1, scan_samples=samples)
+
+    def test_unknown_strategy_is_invalid(self):
+        with pytest.raises(errors.InvalidConfig, match="unknown strategy") as info:
+            qd.redundancy(qd.make_ghz_reduced(3), "S", 0.1, strategy="random")
+        assert isinstance(info.value, ValueError)
+
     def test_stacks_bound_the_memory_of_a_scan(self):
         """A layer of GHZ N = 8 fragments is split in stacks of at most
         ``STACK_BYTES`` of factors: one unbounded stack peaks near 3.3 MiB."""

@@ -11,8 +11,10 @@ rotates with the state: each pointer projector P_i becomes U P_i U^dagger.
 
 The families are the zoo's, the rank-deficient layouts whose optimized
 brackets stop at boundary optima, and states whose rho_F or rho_S is
-degenerate (cq with equal weights, Horodecki at p = 1/2), where a basis chosen
-inside a degenerate cluster could depend on coordinates.
+degenerate (cq with two or three equal weights, Horodecki at p = 1/2), where a
+basis chosen inside a degenerate cluster could depend on coordinates.  The
+three-branch cq state has non-commuting conditionals and a degenerate rho_F, so
+its unoptimized accessible-information bound reads a refined cluster of rho_F.
 """
 
 import numpy as np
@@ -44,6 +46,8 @@ FAMILIES = {
     "rank-2-2x[3]": lambda s: qd.make_random_density(s, qd.std_layout(2, [3]), 2),
     "rank-1-2x[2]": lambda s: qd.make_random_density(s, qd.std_layout(2, [2]), 1),
     "cq-equal-weights": lambda s: qd.make_cq_state(s, [0.5, 0.5], 0.1 * (s % 11), 1 + s % 2),
+    "cq-three-equal-weights": lambda s: qd.make_cq_state(s, [1 / 3] * 3, 0.1 * (s % 11),
+                                                          1 + s % 2),
     "horodecki-half": lambda s: qd.make_horodecki(0.5),
 }
 

@@ -94,12 +94,14 @@ def _numbers(raw: str, cast, flag: str) -> list:
 
 
 def _check_bounds(args) -> None:
-    """Tolerances must be finite and positive, a perturbation finite and >= 0."""
+    """Tolerances must be finite and positive, a perturbation finite and >= 0, a seed >= 0."""
     for flag, positive in (("tol_opt", True), ("tol_num", True), ("perturbation", False)):
         value = getattr(args, flag, 1.0)
         if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
             raise UsageError(f"--{flag.replace('_', '-')} must be finite and "
                              f"{'positive' if positive else 'non-negative'}, got {value}")
+    if (getattr(args, "seed", None) or 0) < 0:  # numpy seeds are non-negative integers
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
 def _require_seed(args) -> int:

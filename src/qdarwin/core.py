@@ -296,12 +296,15 @@ def reduced_factor(rho: DensityMatrix, keep: Sequence[str]) -> np.ndarray:
     order of ``keep``: the factor's kept indices become rows, its traced indices
     and its own columns become columns (a transpose and a reshape)."""
     rho.layout.require(keep)
-    dims = rho.layout.dims
     rows = [rho.layout.index_of(l) for l in keep]
-    cols = [i for i in range(len(dims)) if i not in rows]
-    v = rho.factor
-    return (v.reshape(*dims, v.shape[1]).transpose(*rows, *cols, len(dims))
-            .reshape(math.prod(dims[i] for i in rows), -1))
+    return _factor_rows(rho.factor.reshape(*rho.layout.dims, -1), rows)
+
+
+def _factor_rows(t: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """:func:`reduced_factor` on validated axes: a state's factor as a tensor ``t`` of
+    shape (*dims, r), with the axes ``rows`` moved, in that order, to its rows."""
+    cols = [i for i in range(t.ndim) if i not in rows]
+    return t.transpose(*rows, *cols).reshape(math.prod(t.shape[i] for i in rows), -1)
 
 
 def reduced_spectrum(rho: DensityMatrix, keep: Iterable[str]) -> np.ndarray:

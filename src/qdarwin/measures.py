@@ -2,17 +2,17 @@
 
 Strong Darwinism and broadcast structure are statements about one object, the
 pointer ensemble {p_i, rho_F|i} of a system S and a fragment F.  One kernel,
-:func:`pointer_ensembles`, builds it for many fragments at one pointer basis: one
-rotation of the state's factor per call makes the branch factors W_i = (<i| x 1) W
-of each (S, F) factor W, with c columns, a transpose of it, and fragments of one
-dimension go in stacks of at most ``STACK_BYTES`` with one Gram product each, of
-size d_s min(d_f, c).  Its spectrum is that of rho_SF (d_f <= c) or of rho_F, the
-sum of its d_s diagonal blocks gives the other (both go to the state's memo), and
-the blocks give p_i and the conditionals.  The other diagnostics read the branches
-in the range of rho_F, B_i = Q^dagger W_i with at most min(d_f, d_s c) rows: the
-pointer blocks B_i B_j^dagger, the overlaps and fidelities of B_i^dagger B_j, and
-the accessible-information bracket.  Only the subenvironment overlaps and the
-optimized lower bound read all d_f dimensions of the fragment.
+:func:`pointer_ensembles`, builds it for many fragments at one pointer basis.  A call
+rotates the state's factor once; a fragment costs one check of its labels and one
+transpose of that rotation into its stack, the branch factors W_i = (<i| x 1) W of
+its (S, F) factor W with c columns.  Fragments of one dimension share stacks of at
+most ``STACK_BYTES``, each with one Gram product of size d_s min(d_f, c) and two
+batched spectra: the Gram's, of rho_SF (d_f <= c) or rho_F, and those of its d_s
+diagonal blocks p_i rho_F|i and their sum, the other (both go to the state's memo).
+The other diagnostics read the branches in the range of rho_F, B_i = Q^dagger W_i
+with at most min(d_f, d_s c) rows: the pointer blocks B_i B_j^dagger, the overlaps
+and fidelities of B_i^dagger B_j, and the accessible-information bracket.  Only the
+subenvironment overlaps and the optimized lower bound read all d_f dimensions.
 
 One rule chooses the basis, :func:`pointer_basis` (rho, system, fragment=None): the
 canonical eigenbasis of rho_S, any degenerate cluster refined against the probes of
@@ -27,6 +27,7 @@ V = rho U per block of bases).
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import chain, combinations
@@ -44,6 +45,7 @@ from .core import (
     ProjectiveMeasurement,
     canonical_phases,
     eig_hermitian,
+    _factor_rows,
     partial_trace,
     reduced_factor,
     reduced_spectrum,
@@ -335,58 +337,71 @@ def pointer_ensembles(rho: DensityMatrix, system: str,
                       basis: ProjectiveMeasurement) -> list[PointerEnsemble]:
     """One :class:`PointerEnsemble` per fragment, in order, all at ``basis``: one rotation
     per call, then one batched Gram product per stack (see the module docstring)."""
-    frags = [rho.layout.require(f) for f in fragments]
-    for frag in frags:
-        _disjoint([system], frag)
-    d_s = rho.layout.dim_of(system)
+    layout = rho.layout
+    k_s, d_s = layout.index_of(system), layout.dim_of(system)
     if basis.basis.shape[0] != d_s:
         raise DimensionMismatch(
             f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
-    groups: dict[int, list[int]] = {}
-    for k, frag in enumerate(frags):
-        groups.setdefault(math.prod(map(rho.layout.dim_of, frag)), []).append(k)
-    branches = _branches(rho, system, basis, [frags[k] for ks in groups.values() for k in ks])
+    # each fragment is validated once; its axes give d_f, its rows and both memo keys
+    groups: dict[int, list] = {}
+    for k, fragment in enumerate(fragments):
+        frag = layout.require(fragment)
+        axes = list(map(layout.index_of, frag))
+        if k_s in axes:
+            raise OverlappingParts(f"label sets overlap: {[system]}")
+        at = bisect(axes, k_s)
+        groups.setdefault(math.prod(layout.dims[i] for i in axes), []).append(
+            (k, frag, axes, (*frag[:at], system, *frag[at:])))
+    rotated = _rotated(rho, k_s, basis)
     per_stack, out = max(1, STACK_BYTES // rho.factor.nbytes), {}
     for d_f, members in groups.items():
         c = rho.factor.size // (d_s * d_f)
         m = min(d_f, c)
         for chunk in (members[i:i + per_stack] for i in range(0, len(members), per_stack)):
-            b = np.empty((len(chunk), d_s, d_f, c), dtype=complex)
-            for j, k in enumerate(chunk):
-                b[j] = next(branches)
-            # Y Y^dagger for Y = [B_i] or [B_i^dagger]: rho_SF in the pointer basis, or
-            # the Gram [B_i^dagger B_j] of rho_F's factor [B_1 ... B_{d_s}]
-            y = (b if d_f <= c else b.conj().swapaxes(2, 3)).reshape(len(chunk), d_s * m, -1)
-            gram = (y @ y.conj().swapaxes(1, 2)).reshape(len(chunk), d_s, m, d_s, m)
+            n = len(chunk)
+            # rows (S, F): Y Y^dagger is rho_SF; rows (F, S): Y^dagger Y is [B_i^dagger B_j]
+            y = np.empty((n, d_s * d_f, c), dtype=complex)
+            for j, (_, _, axes, _) in enumerate(chunk):
+                y[j] = _factor_rows(rotated, (k_s, *axes) if d_f <= c else (*axes, k_s))
+            y = y if d_f <= c else y.reshape(n, d_f, d_s * c)
+            y_dag = y.conj().swapaxes(1, 2)
+            gram = (y @ y_dag if d_f <= c else y_dag @ y).reshape(n, d_s, m, d_s, m)
             if not out:  # rho_S, or its transpose, is a partial trace of any Gram
                 eigenvalues = np.linalg.eigvalsh(np.einsum("ixjx->ij", gram[0]))[::-1]
                 h_s = float(_spectrum_entropy(eigenvalues))
             blocks = np.einsum("nixiy->nixy", gram)  # p_i rho_F|i, or its c x c partner
-            spectra = (np.linalg.eigvalsh(gram.reshape(len(chunk), d_s * m, -1)),
-                       np.linalg.eigvalsh(blocks.sum(axis=1)))[::1 if d_f <= c else -1]
             probs = np.einsum("nixx->ni", blocks).real
             live = probs > TOL_PROB
-            cond = _spectrum_entropy(np.linalg.eigvalsh(blocks)
-                                     / np.where(live, probs, 1.0)[..., None])
-            h_f_given_s = np.where(live, probs * cond, 0.0).sum(axis=1)
-            h_sf, h_f = map(_spectrum_entropy, spectra)  # of rho_SF and rho_F
-            for j, k in enumerate(chunk):  # the memo keeps a subset's first spectrum
-                rho._spectra.setdefault(rho.layout.require((system, *frags[k])), spectra[0][j])
-                rho._spectra.setdefault(frags[k], spectra[1][j])
-                out[k] = PointerEnsemble(system, frags[k], rho, eigenvalues, basis, probs[j], h_s,
-                                         float(h_f[j]), float(h_sf[j]), float(h_f_given_s[j]))
-    return [out[k] for k in range(len(frags))]
+            # the conditionals' spectra and their sum's, then the Gram's: rho_F, rho_SF or reversed
+            small = np.linalg.eigvalsh(np.concatenate([blocks, blocks.sum(axis=1)[:, None]], 1))
+            spectra = (np.linalg.eigvalsh(gram.reshape(n, d_s * m, -1)), small[:, d_s])
+            small[:, :d_s] /= np.where(live, probs, 1.0)[..., None]
+            h = _spectrum_entropy(small)
+            order = slice(None, None, 1 if d_f <= c else -1)  # to (rho_SF, rho_F)
+            (h_sf, h_f), (sf, f) = (_spectrum_entropy(spectra[0]), h[:, d_s])[order], spectra[order]
+            h_f_given_s = np.where(live, probs * h[:, :d_s], 0.0).sum(axis=1)
+            for j, ((k, frag, _, key), *values) in enumerate(zip(
+                    chunk, h_f.tolist(), h_sf.tolist(), h_f_given_s.tolist())):
+                rho._spectra.setdefault(key, sf[j])  # the memo keeps a subset's first spectrum
+                rho._spectra.setdefault(frag, f[j])
+                out[k] = PointerEnsemble(system, frag, rho, eigenvalues, basis, probs[j], h_s,
+                                         *values)
+    return [out[k] for k in range(len(out))]
+
+
+def _rotated(rho: DensityMatrix, k: int, basis: ProjectiveMeasurement) -> np.ndarray:
+    """The state's factor in the pointer basis of axis ``k``, (U^dagger x 1) V, as (*dims, r)."""
+    v = rho.factor.reshape(math.prod(rho.layout.dims[:k]), rho.layout.dims[k], -1)
+    return (basis.basis.conj().T @ v).reshape(*rho.layout.dims, -1)
 
 
 def _branches(rho: DensityMatrix, system: str, basis: ProjectiveMeasurement,
               fragments: Iterable[Sequence[str]]) -> Iterator[np.ndarray]:
-    """The branch factors (<i| x 1) W, (d_s, d_f, c), of the (S, F) factor W of each
-    fragment in turn: transposes of one rotation (U^dagger x 1) V of the state's factor."""
+    """Branch factors (<i| x 1) W, (d_s, d_f, c), of the (S, F) factor W of each valid fragment."""
     k = rho.layout.index_of(system)
-    v = rho.factor.reshape(math.prod(rho.layout.dims[:k]), rho.layout.dims[k], -1)
-    rotated = DensityMatrix((basis.basis.conj().T @ v).reshape(rho.factor.shape), rho.layout)
+    rotated = _rotated(rho, k, basis)
     for frag in fragments:
-        w = reduced_factor(rotated, (system, *frag))
+        w = _factor_rows(rotated, (k, *map(rho.layout.index_of, frag)))
         yield w.reshape(rho.layout.dims[k], -1, w.shape[1])
 
 

@@ -506,7 +506,7 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
             continue
         chosen: set[tuple[str, ...]] = set()
         while len(chosen) < scan_samples:
-            pick = tuple(sorted(rng.choice(len(subenvs), size=size, replace=False)))
+            pick = sorted(rng.choice(len(subenvs), size=size, replace=False).tolist())
             chosen.add(tuple(subenvs[i] for i in pick))
         samples.append(sorted(chosen))
 
@@ -534,7 +534,7 @@ def redundancy(rho: DensityMatrix, system: str, delta: float,
         open_: list[tuple[str, ...]] = []
         if remaining and qualifying([tuple(remaining)])[0]:
             open_ = [f for f in itertools.combinations(remaining, size)
-                     if not any(set(m) <= set(f) for m in found)]
+                     if not any(map(frozenset(f).issuperset, found))]
         for frag, ok in zip(open_, qualifying(open_ + sample)):
             if ok and set(frag) <= set(remaining):
                 found.append(frag)

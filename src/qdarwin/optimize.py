@@ -44,9 +44,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if not (0.0 < self.eps_opt < np.inf and self.restarts >= 1 and self.max_refine_iter >= 0
-                and min(self.theta_points, self.phi_points) >= 2):
-            raise InvalidConfig("need a finite eps_opt > 0, restarts >= 1, max_refine_iter >= 0 "
-                                f"and grid sizes >= 2, got {self}")
+                and min(self.theta_points, self.phi_points) >= 2 and self.seed >= 0):
+            raise InvalidConfig("need a finite eps_opt > 0, restarts >= 1, max_refine_iter >= 0, "
+                                f"grid sizes >= 2 and seed >= 0, got {self}")
 
 
 DEFAULT_OPT = OptimizerConfig()

@@ -136,6 +136,21 @@ def test_untaken_flag_exits_2(command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "scan", "verify-theorem"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    """numpy's generators refuse a negative seed; the CLI names the flag instead of
+    dying with a traceback (exit 1)."""
+    st = tmp_path / "st.json"
+    qd.save_state(qd.make_random_density(0, qd.std_layout(2, [3])), str(st))
+    args = {"analyze": ["analyze", str(st), "-o", str(tmp_path / "rep.json")],
+            "scan": ["scan", str(st), "--delta", "0.1", "--report", str(tmp_path / "r.json")],
+            "verify-theorem": ["verify-theorem", "--cases", "2", "-o", str(tmp_path / "t.json")],
+            }[command]
+    assert run([*args, "--seed", "-1"]) == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not any(tmp_path.glob("[rt]*.json"))
+
+
 class TestMake:
     def test_horodecki_file(self, tmp_path):
         out = tmp_path / "st.json"

@@ -487,20 +487,32 @@ class TestRedundancy:
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
     @pytest.mark.parametrize("name,delta", [
-        ("haar-2x[2]*5", 0.4), ("rank-1 3x[2,3,2]", 0.3), ("ghz-3x[3,2,3,3]", 0.05)])
-    def test_pure_scans_match_a_per_fragment_oracle(self, strategy, name, delta):
-        """A scan that reads half its fragments as complements reports what direct
-        pointer_ensemble calls, one per fragment at the scan's basis, give."""
+        ("haar-2x[2]*5", 0.4), ("rank-1 3x[2,3,2]", 0.3), ("ghz-3x[3,2,3,3]", 0.05),
+        ("rank-2 [2]*3x2x[2]*3", 0.5)])
+    def test_scans_match_a_per_fragment_oracle(self, strategy, name, delta):
+        """A scan, which reads half its fragments as complements on a pure state, reports
+        what direct pointer_ensemble calls, one per fragment at the scan's basis, give.
+        The mixed state (a 128 x 2 factor, like the benchmark's GHZ file) has its system
+        in the middle; the oracle hands each fragment over in reverse label order, and
+        gets it and both memo keys back in layout order."""
         rho = {"haar-2x[2]*5": lambda: qd.make_haar_pure(
                    4, qd.std_layout(2, [2] * 5)).to_density(),
                "rank-1 3x[2,3,2]": lambda: qd.make_random_density(
                    7, qd.std_layout(3, [2, 3, 2]), rank=1),
-               "ghz-3x[3,2,3,3]": lambda: pure_ghz(3, [3, 2, 3, 3])}[name]()
+               "ghz-3x[3,2,3,3]": lambda: pure_ghz(3, [3, 2, 3, 3]),
+               "rank-2 [2]*3x2x[2]*3": lambda: qd.make_random_density(5, qd.SubsystemLayout.of(
+                   *[(f"E{k}", 2) for k in (1, 2, 3)], ("S", 2),
+                   *[(f"E{k}", 2) for k in (4, 5, 6)], system="S"), rank=2)}[name]()
         rep = qd.redundancy(rho, "S", delta, strategy=strategy)
         env = rho.layout.environment_labels
         basis = qd.pointer_basis(rho, "S")
-        ens = {f: qd.pointer_ensemble(rho, "S", f, basis)
+        fresh = qd.DensityMatrix(rho.factor, rho.layout)
+        ens = {f: qd.pointer_ensemble(fresh, "S", f[::-1], basis)
                for k in range(1, len(env) + 1) for f in itertools.combinations(env, k)}
+        assert all(e.fragment == f for f, e in ens.items())
+        labels = rho.layout.labels
+        assert set(fresh._spectra) == {*ens} | {
+            tuple(l for l in labels if l == "S" or l in f) for f in ens}
         h_pointer = qd.entropy_bits(ens[env].probabilities)
         threshold = (1.0 - delta) * h_pointer - qd.DEFAULT_OPT.eps_opt
         for k, pt in enumerate(rep.scan_curve, start=1):

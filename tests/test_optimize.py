@@ -283,6 +283,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("eps_opt", -1.0), ("eps_opt", math.nan), ("eps_opt", 0.0), ("eps_opt", math.inf),
         ("restarts", 0), ("max_refine_iter", -1), ("theta_points", 1), ("phi_points", 1),
+        ("seed", -1),
     ])
     def test_out_of_range_settings_raise(self, field, value):
         """A negative or NaN eps_opt would read strong Darwinism as failing on
@@ -293,7 +294,7 @@ class TestConfigValidation:
 
     def test_smallest_settings_in_range_are_accepted(self):
         config = OptimizerConfig(theta_points=2, phi_points=2, restarts=1, max_refine_iter=0,
-                                 eps_opt=1e-12)
+                                 eps_opt=1e-12, seed=0)
         assert qd.verify_equivalence(qd.make_ghz_reduced(2), "S", opt=config).consistent
 
 

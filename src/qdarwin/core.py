@@ -292,10 +292,10 @@ def canonical_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def reduced_factor(rho: DensityMatrix, keep: Sequence[str]) -> np.ndarray:
-    """Factor W of the reduction to ``keep``, rho_K = W W^dagger, with rows in the
-    order of ``keep``: the factor's kept indices become rows, its traced indices
-    and its own columns become columns (a transpose and a reshape)."""
-    rho.layout.require(keep)
+    """Factor W of the reduction to ``keep``, labels the caller has checked with
+    :meth:`SubsystemLayout.require`, rho_K = W W^dagger, with rows in the order of
+    ``keep``: the factor's kept indices become rows, its traced indices and its own
+    columns become columns (a transpose and a reshape)."""
     rows = [rho.layout.index_of(l) for l in keep]
     return _factor_rows(rho.factor.reshape(*rho.layout.dims, -1), rows)
 
@@ -321,10 +321,10 @@ def reduced_spectrum(rho: DensityMatrix, keep: Iterable[str]) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     """Trace out every factor not named in ``keep``; kept factors stay in layout
     order.  The reduced state's factor is the :func:`reduced_factor`."""
-    kept = rho.layout.require(keep)
-    if kept == rho.layout.labels:
+    layout = rho.layout.subset(keep)
+    if layout.labels == rho.layout.labels:
         return rho
-    return DensityMatrix(_freeze(reduced_factor(rho, kept)), rho.layout.subset(kept))
+    return DensityMatrix(_freeze(reduced_factor(rho, layout.labels)), layout)
 
 
 def tensor(states: Sequence[DensityMatrix]) -> DensityMatrix:

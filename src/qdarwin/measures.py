@@ -466,10 +466,9 @@ def _mi_block(probs: np.ndarray, rows: np.ndarray, bases: np.ndarray, values: np
     marginals = joint.sum(axis=1)[:, None] * joint.sum(axis=0)
     log_ratio = np.log2(np.divide(joint, marginals, out=np.ones_like(joint), where=joint > 1e-15))
     values[:] = (joint * log_ratio).reshape(n * d, -1).sum(axis=0)[:m]
-    if grads is not None:  # sum_n w_an V_n e_a, on the (Re, Im) pairs of V as reals
-        weights = np.repeat((probs[:, None, None] * log_ratio)[..., :m].reshape(n, -1), 2, 1)
-        grads[:] = (np.einsum("ny,nky->ky", weights, v.view(float)).view(complex)
-                    .reshape(d, d, m).transpose(2, 0, 1))
+    if grads is not None:  # sum_n w_an V_n e_a, with V's columns weighted in place
+        v *= (probs[:, None, None] * log_ratio)[..., :m].reshape(n, 1, -1)
+        v.reshape(n, d, d, m).sum(axis=0, out=grads.transpose(1, 2, 0))
 
 
 def common_eigenbasis(stacks: Iterable[np.ndarray]) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Riemannian steepest ascent over measurement bases (columns = kets) on U(d).
 
-All R restarts advance together as one (R, d, d) stack, gathered only once a restart
-has stopped or a step was refused: one objective call (values and gradients
-G = dF/d(conj U)) scores the starts, then one per iteration.  A step follows
-A = G U^dagger - U G^dagger, whose squared norm is the slope of F along exp(tA) U,
-through the Cayley retraction (1 - tA/2)^-1 (1 + tA/2) U (Abrudan, Eriksson & Koivunen,
-IEEE TSP 56, 1134 (2008)).  Each restart alternates the two Barzilai-Borwein steps,
-halving one until F beats the lowest of the restart's last ``MEMORY`` values by the
-Armijo margin (a nonmonotone rule), and stops at |A| < ``GRAD_FLOOR``, at a step too
-small to change F, or after ``max_refine_iter`` iterations.  Qubits start from the best
-points of a Bloch-angle grid, built once per process and size, with the values and
+All R restarts advance together as one (R, d, d) stack.  A step follows the direction
+A = G U^dagger - U G^dagger, G = dF/d(conj U), whose squared norm is the slope of F along
+exp(tA) U, through the Cayley retraction (1 - tA/2)^-1 (1 + tA/2) U = 2 (1 - tA/2)^-1 U - U
+(Abrudan, Eriksson & Koivunen, IEEE TSP 56, 1134 (2008)).  Each restart alternates the two
+Barzilai-Borwein steps, halving one until F beats the lowest of the restart's last
+``MEMORY`` values by the Armijo margin (a nonmonotone rule), and stops at |A| <
+``GRAD_FLOOR``, at a step too small to change F, or after ``max_refine_iter`` iterations.
+One objective call (values and gradients) scores the starts; an iteration costs one batched
+solve, one objective call, one product G U^dagger and elementwise work on (R,) vectors, and
+gathers the stack only once a restart has stopped or a step was refused.  Qubits start from
+the best points of a Bloch-angle grid, built once per process and size, with the values and
 gradients of its one call; larger dimensions from the identity and seeded Haar unitaries.
 """
 
@@ -72,9 +73,8 @@ def qubit_basis(theta, phi) -> np.ndarray:
 def _finish(candidates: list[tuple[float, np.ndarray]], config: OptimizerConfig,
             iterations: int = 0, capped: int = 0) -> OptimizationResult:
     values = np.array([v for v, _ in candidates])
-    order = np.argsort(-values, kind="stable")
-    best = int(order[0])
-    gap = 0.0 if len(candidates) < 2 else float(values[order[0]] - values[order[1]])
+    best, *rest = np.argsort(-values, kind="stable")
+    gap = float(values[best] - values[rest[0]]) if rest else 0.0
     if config.strict_convergence and gap > config.eps_opt:
         raise OptimizerDidNotConverge(gap, config.eps_opt)
     return OptimizationResult(float(values[best]), candidates[best][1],
@@ -106,7 +106,7 @@ def _starts(objective, dim: int, config: OptimizerConfig) -> tuple[np.ndarray, .
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # Re tr(a^dagger b), pairwise
-    return np.einsum("rij,rij->r", a.conj(), b).real
+    return np.einsum("rij,rij->r", a.view(float), b.view(float))
 
 
 def _direction(grads: np.ndarray, bases: np.ndarray) -> np.ndarray:  # G U^dagger - U G^dagger
@@ -122,28 +122,29 @@ def _ascend(objective, bases: np.ndarray, values: np.ndarray, grads: np.ndarray,
     for iterations in range(max_iter + 1):
         # a gain below the rounding of F cannot pass the Armijo test
         live = (slope > GRAD_FLOOR ** 2) & (step * slope > np.spacing(np.abs(values) + 1.0))
-        if iterations == max_iter or not live.any():
-            capped = int(live.sum()) if iterations == max_iter else 0
-            break
-        idx = np.flatnonzero(live)
-        part = slice(None) if len(idx) == len(live) else idx
-        half = 0.5 * step[part, None, None] * a[part]
-        trial = np.linalg.solve(eye - half, (eye + half) @ bases[part])
+        count = int(np.count_nonzero(live))
+        if iterations == max_iter or not count:  # capped: restarts live at the cap
+            return values, bases, iterations, count if iterations == max_iter else 0
+        part = slice(None) if count == len(live) else np.flatnonzero(live)
+        t, u, a_part = step[part], bases[part], a[part]
+        trial = 2.0 * np.linalg.solve(eye - (0.5 * t)[:, None, None] * a_part, u) - u
         trial_values, trial_grads = objective(trial)
-        ok = trial_values >= recent[:, part].min(axis=0) + ARMIJO * step[part] * slope[part]
-        step[idx[~ok]] *= 0.5
-        took, moved = (slice(None), part) if ok.all() else (ok, idx[ok])
-        a_new = _direction(trial_grads[took], trial[took])
-        s, y = step[moved, None, None] * a[moved], a_new - a[moved]
-        curve = -_inner(s, y)
-        # Barzilai-Borwein steps, <s, s> / <s, -y> and <s, -y> / <y, y> in turn;
-        # doubled where F did not curve down
-        num, den = (_inner(s, s), curve) if iterations % 2 == 0 else (curve, _inner(y, y))
-        step[moved] = np.where(curve > 0, num / np.where(curve > 0, den, 1.0), 2 * step[moved])
-        bases[moved], values[moved], a[moved] = trial[took], trial_values[took], a_new
-        slope[moved] = _inner(a_new, a_new)
+        ok = trial_values >= recent[:, part].min(axis=0) + ARMIJO * t * slope[part]
+        if np.count_nonzero(ok) < len(ok):  # halve the refused steps, go on with the rest
+            idx = np.arange(len(live))[part]
+            step[idx[~ok]] *= 0.5
+            part, t, a_part, trial, trial_values, trial_grads = (
+                x[ok] for x in (idx, t, a_part, trial, trial_values, trial_grads))
+        a_new = _direction(trial_grads, trial)
+        # Barzilai-Borwein steps <s, s> / <s, -y> and <s, -y> / <y, y> in turn, for s = tA,
+        # -y = A - A_new: t slope / curve and t curve / <y, y>; doubled where F did not curve down
+        y = a_part - a_new
+        curve = _inner(a_part, y)
+        num, den = (slope[part], curve) if iterations % 2 == 0 else (curve, _inner(y, y))
+        step[part] = t * np.where(curve > 0, num / np.where(curve > 0, den, 1.0), 2.0)
+        bases[part], values[part], a[part] = trial, trial_values, a_new
+        slope[part] = _inner(a_new, a_new)
         recent[iterations % MEMORY] = values
-    return values, bases, iterations, capped
 
 
 def maximize_over_bases(objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],

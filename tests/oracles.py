@@ -230,3 +230,50 @@ def accessible_bracket(rho: np.ndarray, d_sys: int, kets) -> tuple[float, float]
         return chi, chi
     _, vecs = np.linalg.eigh(sum(p * c for p, c in branches))
     return classical_mi_and_gradient([p for p, _ in branches], conds, vecs)[0], chi
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # Re tr(a^dagger b), pairwise
+    return np.einsum("rij,rij->r", a.conj(), b).real
+
+
+def _direction(grads: np.ndarray, bases: np.ndarray) -> np.ndarray:  # G U^dagger - U G^dagger
+    x = grads @ bases.conj().transpose(0, 2, 1)
+    return x - x.conj().transpose(0, 2, 1)
+
+
+def ascend(objective, bases: np.ndarray, values: np.ndarray, grads: np.ndarray,
+           max_iter: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The batched Riemannian ascent as ``qdarwin.optimize._ascend`` first had it, with
+    the Cayley step (1 - tA/2)^-1 (1 + tA/2) U as a product and a solve, and the
+    Barzilai-Borwein inner products of s = tA and y = A_new - A as they read."""
+    from qdarwin.core import GRAD_FLOOR
+    from qdarwin.optimize import ARMIJO, MEMORY
+
+    a = _direction(grads, bases)
+    slope, step, eye = _inner(a, a), np.ones(len(bases)), np.eye(bases.shape[1])
+    recent = np.tile(values, (MEMORY, 1))
+    for iterations in range(max_iter + 1):
+        # a gain below the rounding of F cannot pass the Armijo test
+        live = (slope > GRAD_FLOOR ** 2) & (step * slope > np.spacing(np.abs(values) + 1.0))
+        if iterations == max_iter or not live.any():
+            capped = int(live.sum()) if iterations == max_iter else 0
+            break
+        idx = np.flatnonzero(live)
+        part = slice(None) if len(idx) == len(live) else idx
+        half = 0.5 * step[part, None, None] * a[part]
+        trial = np.linalg.solve(eye - half, (eye + half) @ bases[part])
+        trial_values, trial_grads = objective(trial)
+        ok = trial_values >= recent[:, part].min(axis=0) + ARMIJO * step[part] * slope[part]
+        step[idx[~ok]] *= 0.5
+        took, moved = (slice(None), part) if ok.all() else (ok, idx[ok])
+        a_new = _direction(trial_grads[took], trial[took])
+        s, y = step[moved, None, None] * a[moved], a_new - a[moved]
+        curve = -_inner(s, y)
+        # Barzilai-Borwein steps, <s, s> / <s, -y> and <s, -y> / <y, y> in turn;
+        # doubled where F did not curve down
+        num, den = (_inner(s, s), curve) if iterations % 2 == 0 else (curve, _inner(y, y))
+        step[moved] = np.where(curve > 0, num / np.where(curve > 0, den, 1.0), 2 * step[moved])
+        bases[moved], values[moved], a[moved] = trial[took], trial_values[took], a_new
+        slope[moved] = _inner(a_new, a_new)
+        recent[iterations % MEMORY] = values
+    return values, bases, iterations, capped

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from functools import partial
@@ -11,6 +12,7 @@ from qdarwin import errors
 from qdarwin.measures import _classical_mi
 from qdarwin.optimize import (
     OptimizerConfig,
+    _ascend,
     _bloch_grid,
     _direction,
     _finish,
@@ -325,3 +327,84 @@ class TestConvergenceRule:
         second = np.diag([1.0, -1.0])
         res = _finish([(0.4, first), (0.4, second)], OptimizerConfig())
         assert res.basis is first
+
+
+def assert_python_ints(res):
+    assert type(res.iterations) is int and type(res.capped) is int
+
+
+class TestAscentEdges:
+    """Iterations the usual path skips: every trial refused, and a single restart."""
+
+    def test_every_trial_refused_stops_at_the_spacing_rule(self):
+        # each call scores below the last, so no trial passes the Armijo test and each
+        # iteration commits an empty stack; the steps halve until t |A|^2 no longer
+        # exceeds the spacing of F = 0 at the starts
+        pull = np.random.default_rng(3).standard_normal((3, 3)) * (1.0 + 1.0j)
+        calls = []
+
+        def objective(bases):
+            calls.append(len(bases))
+            return np.full(len(bases), 1.0 - len(calls)), np.broadcast_to(pull, bases.shape).copy()
+
+        config = OptimizerConfig(restarts=4)
+        starts = _starts(objective, 3, config)[0]
+        a = _direction(np.broadcast_to(pull, starts.shape), starts)
+        halvings = [next(k for k in range(100) if s * 0.5 ** k <= np.spacing(1.0))
+                    for s in _inner(a, a)]
+        calls.clear()
+        res = maximize_over_bases(objective, 3, config)
+        assert_python_ints(res)
+        assert (res.iterations, res.capped, len(calls)) == (max(halvings), 0, 1 + max(halvings))
+        assert res.value == 0.0 and res.gap == 0.0 and res.restarts == 4
+        assert np.array_equal(res.basis, np.eye(3))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_single_restart(self, dim):
+        target = haar_random_unitary(np.random.default_rng(dim), dim)[:, 0]
+        config = OptimizerConfig(restarts=1)
+        res = maximize_over_bases(alignment_objective(target), dim, config)
+        assert_python_ints(res)
+        assert res.restarts == 1 and res.gap == 0.0 and res.iterations >= 1
+        assert res.value == pytest.approx(1.0, abs=1e-8)
+        bases, values, grads = _starts(alignment_objective(target), dim, config)
+        assert len(bases) == 1 and np.array_equal(bases[0], np.eye(dim))
+        old = oracles.ascend(alignment_objective(target), bases, values, grads, 300)[0]
+        assert abs(old[0] - res.value) <= 1e-12
+
+    @pytest.mark.parametrize("max_refine_iter", [300, 3])
+    def test_optimized_qutrit_report_is_json(self, max_refine_iter):
+        rho = qd.make_random_density(3077685671, qd.std_layout(2, [3]))
+        config = OptimizerConfig(max_refine_iter=max_refine_iter, strict_convergence=False)
+        report = qd.analyze(rho, "S", opt=config).to_dict()
+        acc = json.loads(json.dumps(report))["accessible_information"]
+        assert acc["lower_optimized"] and acc["restarts"] == 20
+        assert type(acc["iterations"]) is int and type(acc["capped"]) is int
+        assert (acc["capped"] > 0) == (max_refine_iter == 3)
+
+
+class TestAscentMatchesOriginal:
+    """The ascent against its original loop (``oracles.ascend``: the Cayley step as a
+    product and a solve, the Barzilai-Borwein products as they read) from the same
+    starts.  Only rounding differs, so wherever neither side caps a restart the best
+    values agree to 1e-12; iteration counts may differ and are printed, not compared."""
+
+    @pytest.mark.parametrize("env", [(3,), (2, 2), (2, 2, 2)], ids=["3", "2x2", "2x2x2"])
+    def test_same_optimum_on_full_rank_ensembles(self, env):
+        config = OptimizerConfig(strict_convergence=False)
+        compared, iterations = 0, []
+        for seed in range(20):
+            _, probs, conds = ensemble(seed, (2, *env))
+            objective = partial(_classical_mi, probs, conds)
+            starts = _starts(objective, conds.shape[1], config)
+            runs = [ascend(objective, *(x.copy() for x in starts), config.max_refine_iter)
+                    for ascend in (_ascend, oracles.ascend)]
+            new, old = (_finish(list(zip(v.tolist(), b)), config, it, c) for v, b, it, c in runs)
+            iterations.append((new.iterations, old.iterations))
+            if new.capped == old.capped == 0:
+                compared += 1
+                assert new.restarts == old.restarts == len(starts[0])
+                assert abs(new.value - old.value) <= 1e-12, (seed, new.value, old.value)
+        print(f"2 x {list(env)}: {compared} of 20 uncapped; iterations (new, original) "
+              f"{iterations}")
+        assert compared >= 10

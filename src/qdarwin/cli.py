@@ -16,11 +16,10 @@ from functools import cache
 import numpy as np
 
 from . import zoo
-from .core import (EPS_NUM, EPS_OPT, DensityMatrix, ProjectiveMeasurement, SubsystemLayout,
-                   load_state, save_state)
+from .core import EPS_NUM, EPS_OPT, DensityMatrix, ProjectiveMeasurement, load_state, save_state
 from .errors import OptimizerDidNotConverge, QDarwinError
 from .measures import pointer_ensemble
-from .objectivity import analyze, objectivity_deficit, redundancy, verify_equivalence
+from .objectivity import analyze, redundancy, verify_equivalence
 from .optimize import DEFAULT_OPT, OptimizerConfig
 
 EXIT_OK = 0
@@ -59,10 +58,6 @@ def _optimizer_config(args) -> OptimizerConfig:
             theta, phi = (int(x) for x in args.grid.lower().split("x"))
         except ValueError:
             raise UsageError(f"--grid must look like 64x32, got {args.grid!r}")
-        if theta < 2 or phi < 2:
-            raise UsageError("--grid densities must be at least 2")
-    if args.restarts < 1 or args.max_refine_iter < 0:
-        raise UsageError("need --restarts >= 1 and --max-refine-iter >= 0")
     return OptimizerConfig(theta, phi, restarts=args.restarts, seed=args.seed or 0,
                            max_refine_iter=args.max_refine_iter, eps_opt=args.tol_opt)
 
@@ -112,19 +107,15 @@ def _require_seed(args) -> int:
 
 def cmd_make(args) -> int:
     kind = args.kind
+    if kind in ("ghz", "appendix-b1", "appendix-b2") and args.n is None:
+        raise UsageError("--n (number of subenvironments) is required")
     if kind == "ghz":
-        if args.n is None or args.n < 1:
-            raise UsageError("--n (number of subenvironments) must be >= 1")
         rho = zoo.make_ghz_reduced(args.n)
     elif kind == "horodecki":
-        if args.p is None or not 0.0 <= args.p <= 1.0:
-            raise UsageError("--p must lie in [0, 1]")
+        if args.p is None:
+            raise UsageError("--p is required")
         rho = zoo.make_horodecki(args.p)
     elif kind in ("appendix-b1", "appendix-b2"):
-        if args.n is None or args.n < 2:
-            raise UsageError("--n (number of subenvironments) must be >= 2")
-        if not 0.0 < args.p1 < 1.0:
-            raise UsageError("--p1 must lie strictly inside (0, 1)")
         maker = (zoo.make_correlated_branches if kind == "appendix-b1"
                  else zoo.make_entangled_branches)
         rho = maker(args.n, args.p1)
@@ -133,22 +124,16 @@ def cmd_make(args) -> int:
         if not args.dims:
             raise UsageError("--dims is required, e.g. --dims 2,2,2 (system first)")
         dims = _numbers(args.dims, int, "--dims")
-        layout = zoo.std_layout(dims[0], dims[1:]) if len(dims) > 1 \
-            else SubsystemLayout.of(("S", dims[0]), system="S")
-        rho = zoo.make_haar_pure(seed, layout).to_density()
+        rho = zoo.make_haar_pure(seed, zoo.std_layout(dims[0], dims[1:])).to_density()
     elif kind == "cq":
         seed = _require_seed(args)
         probs = _numbers(args.probs, float, "--probs")
-        if args.overlap is None or not 0.0 <= args.overlap <= 1.0:
-            raise UsageError("--overlap must lie in [0, 1]")
+        if args.overlap is None:
+            raise UsageError("--overlap is required")
         rho = zoo.make_cq_state(seed, probs, args.overlap, args.subenvs)
     elif kind == "random-sbs":
-        seed = _require_seed(args)
-        if args.branches < 2 or args.subenvs < 1 or args.max_dim < args.branches:
-            raise UsageError("need --branches >= 2, --subenvs >= 1, "
-                             "--max-dim >= --branches")
-        rho = zoo.make_random_broadcast_state(seed, args.branches, args.subenvs,
-                                              args.max_dim)
+        rho = zoo.make_random_broadcast_state(_require_seed(args), args.branches,
+                                              args.subenvs, args.max_dim)
     elif kind == "sbs":
         if not args.spec:
             raise UsageError("--spec SPEC_JSON is required for kind 'sbs'")
@@ -215,10 +200,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     rho, system = _load(args)
-    if not 0.0 < args.delta < 1.0:
-        raise UsageError(f"--delta must lie strictly inside (0, 1), got {args.delta}")
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     seed = _require_seed(args)
     report = redundancy(rho, system, args.delta, OptimizerConfig(eps_opt=args.tol_opt),
                         args.strategy, scan_samples=args.samples, seed=seed)
@@ -278,8 +259,8 @@ def cmd_appendix_c(args) -> int:
         ens = pointer_ensemble(rho, "S", ["E1"], sigma_z)
         h_s, mi, chi = ens.h_s, ens.mutual_information, ens.holevo
         closed = zoo.horodecki_holevo_closed_form(float(p))
-        m = objectivity_deficit(rho, "S", ["E1"], ens.basis)
-        lines.append(",".join(_fmt(x) for x in (p, h_s, mi, chi, closed, ens.discord, m)))
+        lines.append(",".join(_fmt(x) for x in (p, h_s, mi, chi, closed, ens.discord,
+                                                 ens.deficit)))
         if abs(chi - closed) > worst_chi[0]:
             worst_chi = (abs(chi - closed), float(p))
         if abs(mi - h_s) > worst_mi[0]:

@@ -9,10 +9,12 @@ its (S, F) factor W with c columns.  Fragments of one dimension share stacks of 
 most ``STACK_BYTES``, each with one Gram product of size d_s min(d_f, c) and two
 batched spectra: the Gram's, of rho_SF (d_f <= c) or rho_F, and those of its d_s
 diagonal blocks p_i rho_F|i and their sum, the other (both go to the state's memo).
-The other diagnostics read the branches in the range of rho_F, B_i = Q^dagger W_i
-with at most min(d_f, d_s c) rows: the pointer blocks B_i B_j^dagger, the overlaps
-and fidelities of B_i^dagger B_j, and the accessible-information bracket.  Only the
-subenvironment overlaps and the optimized lower bound read all d_f dimensions.
+The other diagnostics read one ensemble's branches, formed once from one rotation:
+in the range of rho_F, B_i = Q^dagger W_i with at most min(d_f, d_s c) rows, the
+pointer blocks B_i B_j^dagger, the fidelities of B_i^dagger B_j and the conditionals
+(``PointerEnsemble.conditionals``), which the overlaps and the accessible-information
+bracket share.  Only the subenvironment overlaps, whose branches are the rows (S, E_k)
+of each W_i, and the optimized lower bound read all d_f dimensions.
 
 One rule chooses the basis, :func:`pointer_basis` (rho, system, fragment=None): the
 canonical eigenbasis of rho_S, any degenerate cluster refined against the probes of
@@ -50,7 +52,7 @@ from .core import (
     reduced_factor,
     reduced_spectrum,
 )
-from .errors import DimensionMismatch, OverlappingParts
+from .errors import DegenerateSystemEntropy, DimensionMismatch, OverlappingParts
 from .optimize import DEFAULT_OPT, OptimizerConfig, maximize_over_bases
 
 
@@ -230,7 +232,8 @@ class PointerEnsemble:
     is W_i = (<i| x 1) W for the factor W of the (S, F) reduction, so
     p_i rho_F|i = W_i W_i^dagger, and ``range_factors[i]`` is the same branch in the
     range of rho_F.  Entropies are in bits; ``h_f_given_s`` is sum_i p_i H(rho_F|i).
-    Both factors are formed on first read, so the ensembles of a scan hold no factor.
+    Both factors and ``conditionals`` are formed on first read, so the ensembles of a
+    scan hold no factor.
     """
 
     system: str
@@ -246,7 +249,11 @@ class PointerEnsemble:
 
     @cached_property
     def branch_factors(self) -> np.ndarray:
-        return next(_branches(self.state, self.system, self.basis, [self.fragment]))
+        layout = self.state.layout
+        k = layout.index_of(self.system)
+        w = _factor_rows(_rotated(self.state, k, self.basis),
+                         (k, *map(layout.index_of, self.fragment)))
+        return w.reshape(layout.dims[k], -1, w.shape[1])
 
     @cached_property
     def range_factors(self) -> np.ndarray:
@@ -260,6 +267,11 @@ class PointerEnsemble:
             r = np.linalg.qr(w.transpose(1, 0, 2).reshape(d_f, d_s * c), mode="r")
             return r.reshape(-1, d_s, c).transpose(1, 0, 2)
         return _narrow(w.reshape(d_s * d_f, c)).reshape(d_s, d_f, -1)
+
+    @cached_property
+    def conditionals(self) -> np.ndarray:
+        """rho_F|i of the live branches (p_i > ``TOL_PROB``), in the range of rho_F."""
+        return _conditionals(self.range_factors, self.probabilities)
 
     @property
     def mutual_information(self) -> float:
@@ -283,6 +295,16 @@ class PointerEnsemble:
         w = self.eigenvalues
         return float(np.min(w[:-1] - w[1:])) if w.size > 1 else float("inf")
 
+    @property
+    def deficit(self) -> float:
+        """Normalized deficit (H(S) - chi + D) / 2H(S), clamped to [0, 1]: zero exactly on
+        bipartite broadcast-structure states, undefined (raises) when H(S) vanishes."""
+        if self.h_s <= TOL_PROB:
+            raise DegenerateSystemEntropy(
+                f"system entropy {self.h_s:.3e} is too small for a normalized deficit")
+        value = (self.h_s - self.holevo + self.discord) / (2.0 * self.h_s)
+        return float(min(max(value, 0.0), 1.0))
+
     def complement(self, fragment: tuple[str, ...]) -> PointerEnsemble:
         """The ensemble of ``fragment``, the rest of a pure state's environment: its
         branches' conditionals share this one's spectra, and H(F), H(SF) swap."""
@@ -303,7 +325,7 @@ class PointerEnsemble:
         """
         chi = self.holevo
         ps = self.probabilities[self.probabilities > TOL_PROB]
-        cs = _conditionals(self.range_factors, self.probabilities)
+        cs = self.conditionals
         if all(np.linalg.norm(ci @ cj - cj @ ci) < TAU_COMM for ci, cj in combinations(cs, 2)):
             lower = classical_mutual_information(ps, cs, common_eigenbasis([cs]))
             return AccessibleInfoBounds(lower, chi, True, False)
@@ -393,16 +415,6 @@ def _rotated(rho: DensityMatrix, k: int, basis: ProjectiveMeasurement) -> np.nda
     """The state's factor in the pointer basis of axis ``k``, (U^dagger x 1) V, as (*dims, r)."""
     v = rho.factor.reshape(math.prod(rho.layout.dims[:k]), rho.layout.dims[k], -1)
     return (basis.basis.conj().T @ v).reshape(*rho.layout.dims, -1)
-
-
-def _branches(rho: DensityMatrix, system: str, basis: ProjectiveMeasurement,
-              fragments: Iterable[Sequence[str]]) -> Iterator[np.ndarray]:
-    """Branch factors (<i| x 1) W, (d_s, d_f, c), of the (S, F) factor W of each valid fragment."""
-    k = rho.layout.index_of(system)
-    rotated = _rotated(rho, k, basis)
-    for frag in fragments:
-        w = _factor_rows(rotated, (k, *map(rho.layout.index_of, frag)))
-        yield w.reshape(rho.layout.dims[k], -1, w.shape[1])
 
 
 def holevo_quantity(rho: DensityMatrix, system: str,

@@ -5,7 +5,9 @@ the equivalence check tying them together, the normalized objectivity deficit,
 the computable distance bound to broadcast-structured states, and redundancy
 scans over environment fragments.  All of them read one pointer basis
 (:func:`qdarwin.measures.pointer_basis`), subfragments and scanned fragments
-included; a fragment defaults to every factor except the system.
+included; a fragment defaults to every factor except the system.  A fragment's
+diagnostics, the detector's subenvironment overlaps and the deficit included, read
+its one :class:`~qdarwin.measures.PointerEnsemble`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     TOL_PROB,
     DensityMatrix,
     ProjectiveMeasurement,
+    _factor_rows,
 )
 from .errors import (
     DegenerateSystemEntropy,
@@ -38,7 +41,6 @@ from .errors import (
 from .measures import (
     AccessibleInfoBounds,
     PointerEnsemble,
-    _branches,
     _conditionals,
     _disjoint,
     _fragment,
@@ -204,11 +206,10 @@ def detect_broadcast_structure(rho: DensityMatrix, system: str,
     return _broadcast_structure(ens, independence)
 
 
-def _max_overlap(factors: np.ndarray, probs: np.ndarray) -> float:
-    """Largest tr(rho_i rho_j) over pairs of live branches' conditionals (0 if < 2)."""
+def _max_overlap(conditionals: np.ndarray) -> float:
+    """Largest tr(rho_i rho_j) over pairs of conditionals (0 if fewer than two)."""
     return max((abs(float(np.trace(a @ b).real))
-                for a, b in itertools.combinations(_conditionals(factors, probs), 2)),
-               default=0.0)
+                for a, b in itertools.combinations(conditionals, 2)), default=0.0)
 
 
 def _broadcast_structure(ens: PointerEnsemble,
@@ -216,9 +217,13 @@ def _broadcast_structure(ens: PointerEnsemble,
     b, p = ens.range_factors, ens.probabilities
     max_offdiag = max(float(np.linalg.norm(b[i] @ b[j].conj().T))
                       for i, j in itertools.combinations(range(len(p)), 2))
-    max_whole = _max_overlap(b, p)
-    max_sub = max(_max_overlap(w, p) for w in _branches(ens.state, ens.system, ens.basis,
-                                                         [[lab] for lab in ens.fragment]))
+    max_whole = _max_overlap(ens.conditionals)
+    # each subenvironment E_k's branches are the rows (S, E_k) of the fragment's W_i
+    w = ens.branch_factors
+    w = w.reshape(len(p), *map(ens.state.layout.dim_of, ens.fragment), w.shape[-1])
+    max_sub = max(
+        _max_overlap(_conditionals(_factor_rows(w, (0, k)).reshape(len(p), w.shape[k], -1), p))
+        for k in range(1, w.ndim - 1))
     max_cmi = 0.0 if independence is None else independence.worst_cmi
 
     # the whole-fragment overlap decides only the bipartite form
@@ -343,22 +348,9 @@ def verify_equivalence(rho: DensityMatrix, system: str,
 def objectivity_deficit(rho: DensityMatrix, system: str,
                         fragment: Sequence[str] | None = None,
                         pointer: ProjectiveMeasurement | None = None) -> float:
-    """Normalized deficit (H(S) - chi + D) / 2H(S), clamped to [0, 1], at
-    ``pointer`` (default the ensemble's pointer basis).
-
-    Zero exactly on bipartite broadcast-structure states; undefined (raises)
-    when the system entropy vanishes.
-    """
-    return _deficit(pointer_ensemble(rho, system, _fragment(rho, system, fragment), pointer))
-
-
-def _deficit(ens: PointerEnsemble) -> float:
-    h_s = ens.h_s
-    if h_s <= TOL_PROB:
-        raise DegenerateSystemEntropy(
-            f"system entropy {h_s:.3e} is too small for a normalized deficit")
-    value = (h_s - ens.holevo + ens.discord) / (2.0 * h_s)
-    return float(min(max(value, 0.0), 1.0))
+    """The ensemble's :attr:`~qdarwin.measures.PointerEnsemble.deficit` at ``pointer``
+    (default the ensemble's pointer basis)."""
+    return pointer_ensemble(rho, system, _fragment(rho, system, fragment), pointer).deficit
 
 
 def broadcast_distance_bound(rho: DensityMatrix, system: str,
@@ -609,8 +601,7 @@ def analyze(rho: DensityMatrix, system: str,
     ens, sqd, independence, sbs = _verdicts(rho, system, _fragment(rho, system, fragment),
                                             subfragments, opt, optimize_acc_lower=True)
     try:
-        m_sqd: float | None = _deficit(ens)
-        reason = None
+        m_sqd, reason = ens.deficit, None
     except DegenerateSystemEntropy as exc:
         m_sqd, reason = None, str(exc)
     eta = _distance_bound(ens)

@@ -44,10 +44,12 @@ class OptimizerConfig:
     strict_convergence: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.eps_opt < np.inf and self.restarts >= 1 and self.max_refine_iter >= 0
-                and min(self.theta_points, self.phi_points) >= 2 and self.seed >= 0):
-            raise InvalidConfig("need a finite eps_opt > 0, restarts >= 1, max_refine_iter >= 0, "
-                                f"grid sizes >= 2 and seed >= 0, got {self}")
+        if not 0.0 < self.eps_opt < np.inf:
+            raise InvalidConfig(f"eps_opt must be finite and > 0, got {self.eps_opt}")
+        for name, low in (("theta_points", 2), ("phi_points", 2), ("restarts", 1),
+                          ("max_refine_iter", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InvalidConfig(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 DEFAULT_OPT = OptimizerConfig()

@@ -130,9 +130,10 @@ def make_random_broadcast_state(seed: int, n_branches: int, n_subenvs: int,
     """Seeded random broadcast-structure state; supports assigned greedily by
     index, spectra drawn from flat simplices, conditionals rotated within their
     own support subspaces (which preserves the structure)."""
-    if max_dim < n_branches:
+    if n_branches < 2 or n_subenvs < 1 or max_dim < n_branches:
         raise DimensionOutOfRange(
-            f"subenvironment dimension cap {max_dim} below branch count {n_branches}")
+            f"need n_branches >= 2, n_subenvs >= 1 and max_dim >= n_branches, got "
+            f"{n_branches}, {n_subenvs} and {max_dim}")
     rng = np.random.default_rng(seed)
     dims = [int(rng.integers(n_branches, max_dim + 1)) for _ in range(n_subenvs)]
     probs = _simplex_sample(rng, n_branches)

@@ -22,6 +22,12 @@ def run(args):
     return main(args)
 
 
+def assert_one_error_line(err):
+    """A usage error is one ``error: `` line on stderr, with no traceback."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err, err
+
+
 def _set(payload, path, value):
     target = payload
     for key in path[:-1]:
@@ -228,10 +234,23 @@ class TestMake:
         ["cq", "--overlap", "0.5", "--subenvs", "0", "--seed", "1"],
         # dimension 2^71, above zoo.MAX_STATE_DIM
         ["ghz", "--n", "70"],
+        # range checks the constructors own
+        ["horodecki", "--p", "2"],
+        ["appendix-b1", "--n", "1"],
+        ["appendix-b2", "--n", "2", "--p1", "1.0"],
+        ["cq", "--overlap", "1.5", "--seed", "1"],
+        ["random-sbs", "--branches", "0", "--seed", "1"],
+        ["random-sbs", "--branches", "1", "--seed", "1"],
+        ["random-sbs", "--subenvs", "0", "--seed", "1"],
+        ["random-sbs", "--max-dim", "1", "--seed", "1"],
+        ["ghz", "--n", "0"],
     ], ids=["dims", "probs", "missing-spec", "spec-without-spectra", "spec-fractional-dim",
             "spec-fractional-index", "spec-string-dim", "spec-bool-index", "dims-overflow",
-            "cq-no-subenvironments", "ghz-too-large"])
-    def test_bad_input_exits_2(self, tmp_path, monkeypatch, args):
+            "cq-no-subenvironments", "ghz-too-large", "horodecki-p-above-1",
+            "appendix-b1-one-subenvironment", "appendix-b2-p1-at-1", "cq-overlap-above-1",
+            "random-sbs-no-branch", "random-sbs-one-branch", "random-sbs-no-subenvironment",
+            "random-sbs-max-dim-below-branches", "ghz-no-subenvironment"])
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-spectra.json").write_text(json.dumps(
             {"probabilities": [0.5, 0.5], "subenv_dims": [2],
@@ -244,6 +263,7 @@ class TestMake:
                  "supports": [[[0]], [[index]]], "spectra": [[[1.0]], [[1.0]]]}))
         assert run(["make", *args, "-o", str(tmp_path / "x.json")]) == 2
         assert not (tmp_path / "x.json").exists()
+        assert_one_error_line(capsys.readouterr().err)
 
 
 class TestAnalyze:
@@ -342,14 +362,16 @@ class TestAnalyze:
         ["--tol-opt", "-1"],
         ["--tol-opt", "nan"],
         ["--tol-opt", "0"],
+        ["--grid", "1x8"],
     ], ids=["negative-max-refine-iter", "zero-restarts", "infinite-tol-opt",
-            "negative-tol-opt", "nan-tol-opt", "zero-tol-opt"])
-    def test_bad_input_exits_2(self, tmp_path, args):
+            "negative-tol-opt", "nan-tol-opt", "zero-tol-opt", "grid-1x8"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, args):
         st = tmp_path / "st.json"
         qd.save_state(qd.make_random_density(1, qd.std_layout(2, [3])), str(st))
         out = tmp_path / "rep.json"
         assert run(["analyze", str(st), *args, "-o", str(out)]) == 2
         assert not out.exists()
+        assert_one_error_line(capsys.readouterr().err)
 
     def test_system_flag_picks_the_default_fragment(self, tmp_path):
         st = tmp_path / "ghz3.json"

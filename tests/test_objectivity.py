@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdarwin as qd
-from qdarwin import errors, objectivity
+from qdarwin import errors, measures, objectivity
+from qdarwin.cli import main
 from qdarwin.zoo import horodecki_holevo_closed_form, theorem_suite
 
 import oracles
@@ -286,6 +287,35 @@ class TestEquivalence:
             assert si == w.independence, family
             checked += 1
         assert checked >= 10
+
+
+class TestOneRotationPerEnsemble:
+    """An ensemble rotates the state once for its branch factors, which the bracket and
+    every overlap of the detector read; appendix-c reads M from the ensemble it built."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("_rotated", "pointer_ensembles"):
+            def counted(*args, _name=name, _inner=getattr(measures, name), **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(measures, name, counted)
+        return counts
+
+    def test_verify_equivalence_rotates_three_times(self, calls):
+        # the fragment's kernel, its subfragments' kernel and its branch factors
+        qd.verify_equivalence(qd.make_random_broadcast_state(0, 2, 3, 3), "S")
+        assert calls["_rotated"] == 3
+
+    def test_analyze_rotates_twice(self, calls):
+        qd.analyze(qd.make_random_density(23, qd.std_layout(2, [2, 2])), "S")
+        assert calls["_rotated"] == 2
+
+    def test_appendix_c_builds_one_ensemble_per_grid_point(self, calls, tmp_path):
+        assert main(["appendix-c", "--grid-points", "3",
+                     "--out-csv", str(tmp_path / "c.csv")]) == 0
+        assert calls["pointer_ensembles"] == 3
 
 
 class TestObjectivityDeficit:

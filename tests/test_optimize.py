@@ -293,6 +293,7 @@ class TestConfigValidation:
         with pytest.raises(errors.InvalidConfig) as exc:
             OptimizerConfig(**{field: value})
         assert isinstance(exc.value, errors.QDarwinError)
+        assert str(exc.value).startswith(f"{field} must be")
 
     def test_smallest_settings_in_range_are_accepted(self):
         config = OptimizerConfig(theta_points=2, phi_points=2, restarts=1, max_refine_iter=0,

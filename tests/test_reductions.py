@@ -135,6 +135,24 @@ def test_block_split_matches_dense_oracle(name):
                - (want["trace_norm"] + want["fidelity_sum"])) <= TOL
 
 
+@pytest.mark.parametrize("fragment", [["E1", "E3"], ["E2", "E4", "E1"]])
+@pytest.mark.parametrize("seed", range(3))
+def test_subenvironment_overlap_of_a_fragment_that_skips_factors(fragment, seed):
+    """Each subenvironment's branches are rows of the fragment's branch factors; with
+    the system inside the layout and factors left out of the fragment, their columns
+    come in another order than the state's, and the overlap is the dense one."""
+    layout = qd.SubsystemLayout.of(("E1", 2), ("E2", 3), ("S", 2), ("E3", 2), ("E4", 2),
+                                   system="S")
+    rho = qd.make_random_density(seed, layout, rank=3)
+    labels, dims = layout.labels, layout.dims
+    frag = [l for l in labels if l in fragment]
+    joint = oracles.partial_trace(rho.matrix, dims, [labels.index(l) for l in ("S", *frag)])
+    sbs = qd.detect_broadcast_structure(rho, "S", fragment)
+    want = oracles.subenvironment_overlap(joint, [2, *map(layout.dim_of, frag)],
+                                          sbs.pointer.basis.T)
+    assert abs(sbs.max_pairwise_overlap - want) <= 1e-12
+
+
 @pytest.mark.parametrize("name", list(STATES))
 def test_pointer_ensemble_is_the_kernel_at_pointer_basis(name):
     """pointer_ensemble(rho, s, f) is pointer_ensembles(rho, s, [f], pointer_basis(rho, s, f))

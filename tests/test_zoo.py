@@ -82,6 +82,14 @@ class TestRandomBroadcast:
         with pytest.raises(errors.DimensionOutOfRange):
             qd.make_random_broadcast_state(0, n_branches=3, n_subenvs=2, max_dim=2)
 
+    @pytest.mark.parametrize("n_branches, n_subenvs", [(-1, 2), (0, 2), (1, 2), (2, 0)])
+    def test_out_of_range_counts_raise(self, n_branches, n_subenvs):
+        """Fewer than two branches or no subenvironment is no broadcast state: the
+        constructor refuses them before numpy sees a negative size, and does not
+        return a state of the system alone."""
+        with pytest.raises(errors.DimensionOutOfRange, match="n_branches >= 2"):
+            qd.make_random_broadcast_state(0, n_branches, n_subenvs, max_dim=3)
+
 
 class TestGhz:
     def test_structure(self):

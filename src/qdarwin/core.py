@@ -41,7 +41,7 @@ ENVIRONMENT = "environment"
 # Every threshold that decides a result, each written once; all are sized for
 # double precision at dim <= 64.
 TOL_HERM = 1e-9        # max |m - m^dagger| entry of a valid state or eigen-input
-TOL_TRACE = 1e-9       # |tr rho - 1|, |norm - 1| and the sum-to-one of distributions
+TOL_TRACE = 1e-9       # |tr rho - 1|, |U^dagger U - 1| of a basis, sums of distributions
 TOL_PSD = 1e-9         # most negative eigenvalue of a valid state
 TOL_PROB = 1e-12       # branch probability, or H(S) in bits, treated as zero
 DEGENERACY_GAP = 1e-9  # eigenvalues closer than this form one degenerate cluster
@@ -222,14 +222,8 @@ class PureState:
 
 
 def validate_pure_state(amplitudes: np.ndarray, layout: SubsystemLayout) -> PureState:
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if v.size != layout.total_dim:
-        raise DimensionMismatch(
-            f"vector length {v.size} does not match layout dimension {layout.total_dim}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > TOL_TRACE:
-        raise TraceNotOne(f"state norm is {norm}, not 1")
-    return PureState(_freeze(v), layout)
+    v = np.asarray(amplitudes, dtype=complex).reshape(-1, 1)
+    return PureState(validate_factor(v, layout).factor[:, 0], layout)
 
 
 def validate_density_matrix(matrix: np.ndarray, layout: SubsystemLayout) -> DensityMatrix:
@@ -355,11 +349,16 @@ def tensor(states: Sequence[DensityMatrix]) -> DensityMatrix:
 class ProjectiveMeasurement:
     """Orthonormal rank-1 measurement basis on one named subsystem.
 
-    ``basis`` holds the basis kets as columns.
+    ``basis`` holds the basis kets as columns, orthonormal within ``TOL_TRACE``.
     """
 
     subsystem: str
     basis: np.ndarray
+
+    def __post_init__(self):
+        u = _check_matrix(self.basis)  # finite and square
+        if np.abs(u.conj().T @ u - np.eye(len(u))).max(initial=0.0) > TOL_TRACE:
+            raise DimensionMismatch("basis columns are not orthonormal within TOL_TRACE")
 
     @classmethod
     def computational(cls, subsystem: str, dim: int) -> "ProjectiveMeasurement":

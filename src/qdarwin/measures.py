@@ -17,13 +17,13 @@ bracket share.  Only the subenvironment overlaps, whose branches are the rows (S
 of each W_i, and the optimized lower bound read all d_f dimensions.
 
 One rule chooses the basis, :func:`pointer_basis` (rho, system, fragment=None): the
-canonical eigenbasis of rho_S, any degenerate cluster refined against the probes of
-the fragment, by default every other factor; :func:`pointer_ensemble` is the kernel
-at that basis.  Inside a cluster every basis gives the same H(S^Pi), so every
-measure and verdict reads the one observable the fragment records.  Measurement
-optimization happens on the fragment side, in the accessible-information lower
-bound (:func:`_classical_mi`, which reads a stack of bases from one product
-V = rho U per block of bases).
+canonical eigenbasis of rho_S, any degenerate cluster refined against the probes of the
+fragment (by default every other factor) that can split it; :func:`pointer_ensemble`
+is the kernel at that basis.  Inside a cluster every basis gives the same H(S^Pi), so
+every measure and verdict reads the one observable the fragment records.  Measurement
+optimization happens on the fragment side, in the accessible-information lower bound
+(:func:`_classical_mi`, which reads a stack of bases from one product V = rho U per
+block of bases).
 """
 
 from __future__ import annotations
@@ -191,16 +191,16 @@ def _probe_stacks(rho: DensityMatrix, system: str,
                   fragment: tuple[str, ...]) -> Iterator[np.ndarray]:
     """One stack per fragment row m: the Hermitian and anti-Hermitian parts of the probes
     (1 x <m|) rho_SF (1 x |k>) = A_m A_k^dagger, k >= m, A_m the (S, m) slice of the
-    (S, F) factor, formed at the first read.  A row whose probes all have eigenvalue
-    spread at most 4 |A_m|_F max_k |A_k|_F < ``DEGENERACY_GAP`` cannot split a cluster
-    and is skipped."""
+    (S, F) factor, formed at the first read.  A probe's eigenvalue spread, and so that of
+    its compression onto any cluster, is at most 4 |A_m|_F |A_k|_F: below
+    ``DEGENERACY_GAP`` it cannot split a cluster and is not formed (a stack may be empty)."""
     d_s = rho.layout.dim_of(system)
     w = reduced_factor(rho, (system, *fragment))
     a = w.reshape(d_s, -1, w.shape[1]).transpose(1, 0, 2)  # A_m as [m, s, c]
     norms = np.linalg.norm(a, axis=(1, 2))
-    tail = np.maximum.accumulate(norms[::-1])[::-1]  # max over k >= m of |A_k|_F
-    for m in np.flatnonzero(4.0 * norms * tail >= DEGENERACY_GAP):
-        t = np.einsum("sc,ktc->kst", a[m], a[m:].conj())
+    for m in np.flatnonzero(4.0 * norms * norms.max() >= DEGENERACY_GAP):
+        k = m + np.flatnonzero(4.0 * norms[m] * norms[m:] >= DEGENERACY_GAP)
+        t = np.einsum("sc,ktc->kst", a[m], a[k].conj())
         t_dag = t.conj().transpose(0, 2, 1)
         yield np.stack([t + t_dag, 1j * (t - t_dag)], axis=1).reshape(-1, d_s, d_s)
 
@@ -361,9 +361,9 @@ def pointer_ensembles(rho: DensityMatrix, system: str,
     per call, then one batched Gram product per stack (see the module docstring)."""
     layout = rho.layout
     k_s, d_s = layout.index_of(system), layout.dim_of(system)
-    if basis.basis.shape[0] != d_s:
-        raise DimensionMismatch(
-            f"measurement dimension {basis.basis.shape[0]} != factor dimension {d_s}")
+    if basis.subsystem != system or basis.basis.shape[0] != d_s:
+        raise DimensionMismatch(f"measurement on {basis.subsystem!r} of dimension "
+                                f"{basis.basis.shape[0]} does not fit {system!r} of {d_s}")
     # each fragment is validated once; its axes give d_f, its rows and both memo keys
     groups: dict[int, list] = {}
     for k, fragment in enumerate(fragments):

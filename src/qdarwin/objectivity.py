@@ -6,8 +6,8 @@ the computable distance bound to broadcast-structured states, and redundancy
 scans over environment fragments.  All of them read one pointer basis
 (:func:`qdarwin.measures.pointer_basis`), subfragments and scanned fragments
 included; a fragment defaults to every factor except the system.  A fragment's
-diagnostics, the detector's subenvironment overlaps and the deficit included, read
-its one :class:`~qdarwin.measures.PointerEnsemble`.
+diagnostics, the detector's subenvironment overlaps and the deficit included, read its
+one :class:`~qdarwin.measures.PointerEnsemble`, built with its subfragments' in one call.
 """
 
 from __future__ import annotations
@@ -117,40 +117,41 @@ def check_strong_darwinism(rho: DensityMatrix, system: str,
     and every listed subfragment.
 
     A system with zero entropy carries no information and the condition holds
-    trivially.  Subfragments are read at the fragment's pointer basis.  The
-    accessible information is certified exact only when the pointer-basis
-    ensemble commutes; otherwise the verdict reports a bracket.
+    trivially.  Subfragments come from the fragment's kernel call, at its pointer basis,
+    rotation and H(S).  The accessible information is certified exact only when the
+    pointer-basis ensemble commutes; otherwise the verdict reports a bracket.
     """
-    ens = pointer_ensemble(rho, system, _fragment(rho, system, fragment))
-    return _strong_darwinism(ens, subfragments, opt, optimize_acc_lower)
+    return _strong_darwinism(rho, system, _fragment(rho, system, fragment), subfragments,
+                             opt, optimize_acc_lower)[1]
 
 
-def _strong_darwinism(ens: PointerEnsemble,
-                      subfragments: Sequence[Sequence[str]] | None,
-                      opt: OptimizerConfig, optimize_acc_lower: bool) -> SqdVerdict:
+def _strong_darwinism(rho: DensityMatrix, system: str, fragment: tuple[str, ...],
+                      subfragments: Sequence[Sequence[str]] | None, opt: OptimizerConfig,
+                      optimize_acc_lower: bool) -> tuple[PointerEnsemble, SqdVerdict]:
+    basis = pointer_basis(rho, system, fragment)
     subfragments = [list(s) for s in (subfragments or [])]
     _disjoint(*subfragments)
     for sf in subfragments:
-        if not set(sf) <= set(ens.fragment):
+        if not set(sf) <= set(fragment):
             raise OverlappingParts(f"subfragment {sf} is not inside the fragment")
+    ens, *subs = pointer_ensembles(rho, system, [fragment, *subfragments], basis)
 
     h_s = ens.h_s
     equality = opt.eps_opt
     if h_s <= TOL_PROB:  # both gaps are zero
-        return SqdVerdict(True, 0.0, 0.0, 0.0, 0.0, (), equality, None,
-                          ((0.0, equality),) * 2, trivial=True)
+        return ens, SqdVerdict(True, 0.0, 0.0, 0.0, 0.0, (), equality, None,
+                               ((0.0, equality),) * 2, trivial=True)
 
     def gaps(e: PointerEnsemble) -> Rows:
         return ((abs(e.mutual_information - e.holevo), equality),
                 (abs(e.holevo - h_s), equality))
 
     acc = ens.accessible_information(opt, optimize_acc_lower)
-    subs = subfragments and pointer_ensembles(ens.state, ens.system, subfragments, ens.basis)
     checks = tuple(SubfragmentCheck(tuple(sf), _within(gaps(sub)), sub.mutual_information,
                                     sub.holevo) for sf, sub in zip(subfragments, subs))
     rows = gaps(ens) + sum(map(gaps, subs), ())
-    return SqdVerdict(_within(rows), ens.mutual_information, ens.holevo, h_s, ens.discord,
-                      checks, equality, acc, rows)
+    return ens, SqdVerdict(_within(rows), ens.mutual_information, ens.holevo, h_s,
+                           ens.discord, checks, equality, acc, rows)
 
 
 @dataclass(frozen=True)
@@ -284,8 +285,7 @@ def _verdicts(rho: DensityMatrix, system: str, fragment: tuple[str, ...],
               optimize_acc_lower: bool
               ) -> tuple[PointerEnsemble, SqdVerdict, IndependenceVerdict | None, SbsVerdict]:
     """The pointer ensemble of (system, fragment) and the three verdicts read from it."""
-    ens = pointer_ensemble(rho, system, fragment)
-    sqd = _strong_darwinism(ens, subfragments, opt, optimize_acc_lower)
+    ens, sqd = _strong_darwinism(rho, system, fragment, subfragments, opt, optimize_acc_lower)
     independence = _independence(rho, system, fragment)
     return ens, sqd, independence, _broadcast_structure(ens, independence)
 

@@ -170,6 +170,18 @@ def pointer_branches(rho: np.ndarray, d_sys: int, kets) -> list:
     return out
 
 
+def pointer_probes(factor: np.ndarray, d_sys: int):
+    """Every fragment probe (1 x <m|) rho (1 x |k>) = A_m A_k^dagger, k >= m, of a
+    system-first joint state rho = V V^dagger, A_m the (S, m) rows of its factor V, none
+    skipped: one stack per row m of the probes' Hermitian and anti-Hermitian parts, in
+    the order the pointer-basis rule reads them."""
+    a = factor.reshape(d_sys, -1, factor.shape[1]).transpose(1, 0, 2)  # [m, s, c]
+    for m in range(len(a)):
+        probes = np.einsum("sc,ktc->kst", a[m], a[m:].conj())
+        dag = probes.conj().transpose(0, 2, 1)
+        yield np.stack([probes + dag, 1j * (probes - dag)], axis=1).reshape(-1, d_sys, d_sys)
+
+
 def block_split(rho: np.ndarray, d_sys: int, kets) -> dict:
     """Pointer-block split of a system-first joint state at the pointer ``kets``.
 

@@ -286,6 +286,44 @@ class TestMeasurementValidation:
             qd.branch_decomposition(bell_state(), "Q",
                                     qd.ProjectiveMeasurement.computational("Q", 2))
 
+    @pytest.mark.parametrize("basis", [
+        np.array([[1, 1], [0, 1]], dtype=complex),       # sheared: not orthonormal
+        np.array([[1], [0]], dtype=complex),             # 2 x 1: not square
+        np.full((2, 2), np.nan, dtype=complex),          # not finite
+        np.eye(2, dtype=complex) * (1 + 1e-8),           # norms off by more than TOL_TRACE
+    ], ids=["sheared", "2x1", "nan", "unnormalized"])
+    def test_basis_that_is_not_orthonormal_is_rejected(self, basis):
+        with pytest.raises(errors.DimensionMismatch):
+            qd.ProjectiveMeasurement("S", basis)
+
+    def test_measurement_on_another_factor_is_rejected(self):
+        rho = qd.make_random_density(0, qd.std_layout(2, [2, 2]))
+        pointer = qd.ProjectiveMeasurement("E1", np.eye(2, dtype=complex))
+        for diagnostic in (qd.objectivity_deficit, qd.broadcast_distance_bound):
+            with pytest.raises(errors.DimensionMismatch):
+                diagnostic(rho, "S", pointer=pointer)
+        with pytest.raises(errors.DimensionMismatch):
+            qd.branch_decomposition(rho, "S", pointer)
+
+
+class TestPureStateValidation:
+    def test_non_finite_amplitudes_are_rejected(self):
+        v = np.array([np.nan, 0, 0, 0], dtype=complex)
+        with pytest.raises(errors.DimensionMismatch):
+            qd.validate_pure_state(v, qd.std_layout(2, [2]))
+
+    def test_norm_rule_is_the_factors(self):
+        # |v| - 1 = 7e-10 is |v|^2 - 1 = 1.4e-9: a state whose density matrix has the wrong trace
+        v = np.array([1 + 7e-10, 0, 0, 0], dtype=complex)
+        with pytest.raises(errors.TraceNotOne):
+            qd.validate_pure_state(v, qd.std_layout(2, [2]))
+
+    def test_valid_vector_round_trips(self):
+        v = np.array([1, 0, 0, 1j], dtype=complex) / np.sqrt(2)
+        psi = qd.validate_pure_state(v, qd.std_layout(2, [2]))
+        assert np.array_equal(psi.amplitudes, v)
+        assert np.array_equal(psi.to_density().factor[:, 0], v)
+
 
 class TestStateFile:
     def test_round_trip_is_bit_exact(self, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdarwin as qd
-from qdarwin import errors
+from qdarwin import errors, measures
 from qdarwin.measures import (_probe_stacks, _refined_eigenbasis, classical_mutual_information,
                               common_eigenbasis)
 from qdarwin.zoo import haar_random_unitary, horodecki_holevo_closed_form
@@ -373,6 +373,35 @@ class TestHelpers:
         rho = qd.validate_factor(factor, qd.std_layout(2, [2] * n))
         assert len(list(_probe_stacks(rho, "S", rho.layout.environment_labels))) == 1
         assert np.allclose(qd.pointer_basis(rho, "S").basis, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n: qd.make_ghz_reduced(n) for n in (2, 3, 5, 8)),
+        *(lambda s=s: qd.make_cq_state(s, [1 / 3] * 3, 0.2 * (s % 5)) for s in range(8)),
+        *(lambda s=s: qd.make_cq_state(s, [0.25] * 4, 0.3, n_subenvs=2) for s in range(4)),
+        *(lambda s=s: qd.make_cq_state(s, [0.5, 0.5], 0.0, n_subenvs=3) for s in range(4)),
+    ])
+    def test_pointer_basis_matches_the_unfiltered_probes(self, make):
+        # skipped probes cannot split a cluster, so the basis is the one every probe gives
+        rho = make()
+        rho_s = qd.partial_trace(rho, ["S"]).matrix
+        want = _refined_eigenbasis(rho_s, oracles.pointer_probes(rho.factor, len(rho_s)))
+        assert np.allclose(qd.pointer_basis(rho, "S").basis, want, rtol=0.0, atol=1e-14)
+
+    def test_pointer_basis_reads_only_probes_that_can_split(self, monkeypatch):
+        # GHZ N = 10: rows 0 and 1023 carry the probes, and the first splits rho_S = I/2
+        read = []
+
+        def counted(stacks, _inner=measures.common_eigenbasis):
+            def reading():
+                for stack in stacks:
+                    read.append(len(stack))
+                    yield stack
+            return _inner(reading())
+
+        monkeypatch.setattr(measures, "common_eigenbasis", counted)
+        w = qd.verify_equivalence(qd.make_ghz_reduced(10), "S")
+        assert w.consistent and w.sbs.pointer_degenerate
+        assert 0 < sum(read) <= 16
 
     def test_degenerate_cluster_that_nothing_splits_keeps_the_computational_basis(self):
         assert np.allclose(_refined_eigenbasis(np.eye(4, dtype=complex) / 4, []), np.eye(4),

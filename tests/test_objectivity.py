@@ -301,12 +301,32 @@ class TestOneRotationPerEnsemble:
                 counts[_name] += 1
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(measures, name, counted)
+        monkeypatch.setattr(objectivity, "pointer_ensembles", measures.pointer_ensembles)
         return counts
 
-    def test_verify_equivalence_rotates_three_times(self, calls):
-        # the fragment's kernel, its subfragments' kernel and its branch factors
+    def test_verify_equivalence_rotates_twice(self, calls):
+        # one kernel call for the fragment and its subfragments, and its branch factors
         qd.verify_equivalence(qd.make_random_broadcast_state(0, 2, 3, 3), "S")
-        assert calls["_rotated"] == 3
+        assert calls["_rotated"] == 2
+        assert calls["pointer_ensembles"] == 1
+
+    def test_analyze_with_subfragments_makes_one_kernel_call(self, calls):
+        rho = qd.make_random_broadcast_state(0, 2, 3, 3)
+        qd.analyze(rho, "S", subfragments=[["E1"], ["E2"]])
+        assert calls["pointer_ensembles"] == 1
+        assert calls["_rotated"] == 2
+
+    def test_check_strong_darwinism_with_subfragments_makes_one_kernel_call(self, calls):
+        rho = qd.make_random_broadcast_state(0, 2, 3, 3)
+        v = qd.check_strong_darwinism(rho, "S", subfragments=[["E1"], ["E2", "E3"]])
+        assert len(v.per_subfragment) == 2
+        assert calls["pointer_ensembles"] == 1
+
+    def test_subfragment_labels_keep_the_callers_order(self):
+        rho = qd.make_random_broadcast_state(0, 2, 3, 3)
+        v = qd.check_strong_darwinism(rho, "S", subfragments=[["E3", "E1"], ["E2"]])
+        assert [sf.labels for sf in v.per_subfragment] == [("E3", "E1"), ("E2",)]
+        assert v.to_dict()["per_subfragment"][0]["labels"] == ["E3", "E1"]
 
     def test_analyze_rotates_twice(self, calls):
         qd.analyze(qd.make_random_density(23, qd.std_layout(2, [2, 2])), "S")
